@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt lint lintguard test race bench bench-scale bench-stream bench-soak bench-recovery bench-fanout bench-gateway microbench benchguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard fuzz check
+.PHONY: build vet fmt lint lintguard test race perfbench bench bench-scale bench-stream bench-soak bench-recovery bench-fanout bench-gateway microbench benchguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard fuzz check
 
 build:
 	$(GO) build ./...
@@ -48,7 +48,7 @@ bench:
 	$(GO) run ./cmd/optimus-bench bench
 
 # bench-scale runs the simulator hot-path scaling benchmark (1M-request
-# trace, serial/scan vs indexed vs sharded, plus the constant-memory
+# trace, serial/scan vs indexed vs windowed, plus the constant-memory
 # streaming section at 10M requests) and leaves BENCH_sim_scale.json in the
 # repo root.
 bench-scale:
@@ -94,13 +94,15 @@ benchguard:
 	$(GO) test -run 'TestBench' -bench 'BenchmarkPrecompute' -benchtime=1x ./internal/experiments
 
 # scaleguard validates the checked-in BENCH_sim_scale.json (indexed replay
-# must not be slower than the scan baseline, both equivalence checks must
-# hold) and replays a small-N scale smoke end to end.
+# must not be slower than the scan baseline, the windowed replay must not
+# fall back to serial and must split into one partition per node group,
+# both equivalence checks must hold) and replays a small-N scale smoke end
+# to end.
 scaleguard:
 	$(GO) test -run 'TestScale' ./internal/experiments
 
 # streamguard validates the streaming section of BENCH_sim_scale.json
-# (10M+-request point, allocs/req at or below the sharded path, peak heap
+# (10M+-request point, allocs/req at or below the indexed path, peak heap
 # within 1.5x of the 10x-smaller baseline, streaming==materialized and
 # windowed==serial equalities) and replays a streaming smoke end to end.
 streamguard:
@@ -132,16 +134,22 @@ gatewayguard:
 	$(GO) test -run 'TestGateway' ./internal/experiments
 
 # fuzz runs a short native-fuzzing smoke over the plan executor, the
-# lint-directive parser, the call-graph builder, and the Azure-trace CSV
-# reader.
+# lint-directive parser, the call-graph builder, the Azure-trace CSV
+# reader, and the trace CSV reader.
 fuzz:
 	$(GO) test -fuzz='^FuzzPlanApply$$' -fuzztime=10s -run '^$$' ./internal/planner
 	$(GO) test -fuzz='^FuzzDirectiveParse$$' -fuzztime=10s -run '^$$' ./internal/analysis
 	$(GO) test -fuzz='^FuzzCallGraph$$' -fuzztime=10s -run '^$$' ./internal/analysis
 	$(GO) test -fuzz='^FuzzAzureCSV$$' -fuzztime=10s -run '^$$' ./internal/workload
+	$(GO) test -fuzz='^FuzzReadCSV$$' -fuzztime=10s -run '^$$' ./internal/workload
+
+# perfbench runs the tests of the benchmark runner, a module of its own
+# under perfbench/.
+perfbench:
+	cd perfbench && $(GO) test ./...
 
 # check is the pre-merge gate: formatting, static analysis (go vet plus the
 # project linter with its JSON gate), a full build, the test suite under the
-# race detector (the gateway stress test needs it), and the benchmark
-# regression guards.
-check: fmt vet lintguard build race benchguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard
+# race detector (the gateway stress test needs it), the benchmark runner's
+# tests, and the benchmark regression guards.
+check: fmt vet lintguard build race perfbench benchguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard

@@ -20,14 +20,15 @@ import (
 const BenchScaleFile = "BENCH_sim_scale.json"
 
 // ScaleBench is the simulator hot-path scaling benchmark: one synthetic
-// million-request trace on a sharded cluster replayed three ways —
+// million-request trace on a cluster of disjoint node groups replayed three
+// ways —
 //
 //   - serial/scan: the legacy O(nodes×containers) scanning router
 //     (Config.RouteScan), the pre-index engine baseline;
 //   - indexed: the incrementally-maintained routing index, serial replay;
-//   - sharded: the indexed engine with the trace split across the
-//     placement's disjoint node groups and replayed in parallel
-//     (simulate.RunSharded).
+//   - windowed: the indexed engine streaming the trace through time windows
+//     whose independent partitions — one per node group — replay in
+//     parallel (simulate.RunWindowed).
 //
 // Wall times and speedups are machine-dependent; request counts, the
 // equality checks and allocation counts are reproducible.
@@ -38,30 +39,32 @@ type ScaleBench struct {
 	Nodes     int   `json:"nodes"`
 	Groups    int   `json:"groups"`
 	Workers   int   `json:"workers"`
-	// Shards is the shard count RunSharded planned; ShardSerialReason is
-	// non-empty if it fell back to serial replay.
-	Shards            int    `json:"shards"`
-	ShardSerialReason string `json:"shard_serial_reason,omitempty"`
+	// Windows is the windowed replay's window count and MaxPartitions the
+	// most partitions any window split into; WindowedSerialReason is
+	// non-empty if the windowed replay fell back to serial.
+	Windows              int    `json:"windows"`
+	MaxPartitions        int    `json:"max_partitions"`
+	WindowedSerialReason string `json:"windowed_serial_reason,omitempty"`
 
-	SerialMS  float64 `json:"serial_ms"`
-	IndexedMS float64 `json:"indexed_ms"`
-	ShardedMS float64 `json:"sharded_ms"`
-	// SpeedupIndexed = serial/indexed, SpeedupSharded = indexed/sharded,
-	// SpeedupTotal = serial/sharded (the ≥3× acceptance target).
-	SpeedupIndexed float64 `json:"speedup_indexed"`
-	SpeedupSharded float64 `json:"speedup_sharded"`
-	SpeedupTotal   float64 `json:"speedup_total"`
+	SerialMS   float64 `json:"serial_ms"`
+	IndexedMS  float64 `json:"indexed_ms"`
+	WindowedMS float64 `json:"windowed_ms"`
+	// SpeedupIndexed = serial/indexed, SpeedupWindowed = indexed/windowed,
+	// SpeedupTotal = serial/windowed.
+	SpeedupIndexed  float64 `json:"speedup_indexed"`
+	SpeedupWindowed float64 `json:"speedup_windowed"`
+	SpeedupTotal    float64 `json:"speedup_total"`
 
-	SerialAllocsPerReq  float64 `json:"serial_allocs_per_req"`
-	IndexedAllocsPerReq float64 `json:"indexed_allocs_per_req"`
-	ShardedAllocsPerReq float64 `json:"sharded_allocs_per_req"`
+	SerialAllocsPerReq   float64 `json:"serial_allocs_per_req"`
+	IndexedAllocsPerReq  float64 `json:"indexed_allocs_per_req"`
+	WindowedAllocsPerReq float64 `json:"windowed_allocs_per_req"`
 
 	// IndexedMatchesScan: the indexed replay's records are byte-identical to
-	// the scanning replay's. ShardedMatchesSerial: the shard-merged
-	// aggregates (count, mean, P50/P95/P99, kind counts, faults) equal the
-	// serial replay's.
-	IndexedMatchesScan   bool `json:"indexed_matches_scan"`
-	ShardedMatchesSerial bool `json:"sharded_matches_serial"`
+	// the scanning replay's. WindowedMatchesSerial: the windowed replay ran
+	// windowed and its summary (count, exact sums and max, latency sketch,
+	// kind counts, faults) equals the summary of the serial replay's records.
+	IndexedMatchesScan    bool `json:"indexed_matches_scan"`
+	WindowedMatchesSerial bool `json:"windowed_matches_serial"`
 
 	// Stream, when present, is the constant-memory streaming replay section
 	// (`optimus-bench scale -stream`); see StreamScale.
@@ -149,16 +152,15 @@ func scaleClusterSpec(o Options, requests, groups int) scaleSpec {
 }
 
 // timedRun measures one replay's wall clock and per-request allocations.
-func timedRun(requests int, run func() *metrics.Collector) (*metrics.Collector, float64, float64) {
+func timedRun(requests int, run func()) (ms, allocsPerReq float64) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
-	col := run()
+	run()
 	wall := time.Since(t0)
 	runtime.ReadMemStats(&after)
-	allocs := float64(after.Mallocs-before.Mallocs) / float64(requests)
-	return col, msF(wall), allocs
+	return msF(wall), float64(after.Mallocs-before.Mallocs) / float64(requests)
 }
 
 // sameRecords reports byte-identity of two replays' record streams.
@@ -175,56 +177,12 @@ func sameRecords(a, b *metrics.Collector) bool {
 	return true
 }
 
-// aggSnapshot captures the summary views a shard-merged collector must
-// reproduce exactly: counts, fault tallies, mean, latency percentiles and the
-// start-kind mix. Snapshotting lets the benchmark release a replay's
-// multi-hundred-MB record slice before timing the next one — keeping those
-// heaps alive inflates every subsequent run's GC cost.
-type aggSnapshot struct {
-	n      int
-	faults metrics.FaultStats
-	mean   time.Duration
-	pcts   [4]time.Duration
-	kinds  map[metrics.StartKind]int
-}
-
-var aggPcts = [4]float64{50, 95, 99, 100}
-
-func snapshotAggregates(c *metrics.Collector) aggSnapshot {
-	s := aggSnapshot{n: c.Len(), faults: c.Faults, mean: c.MeanLatency(), kinds: c.KindCounts()}
-	for i, p := range aggPcts {
-		s.pcts[i] = c.Percentile(p)
-	}
-	return s
-}
-
-// sameAggregates reports whether the collector reproduces the snapshot.
-func sameAggregates(want aggSnapshot, b *metrics.Collector) bool {
-	if want.n != b.Len() || want.faults != b.Faults || want.mean != b.MeanLatency() {
-		return false
-	}
-	for i, p := range aggPcts {
-		if want.pcts[i] != b.Percentile(p) {
-			return false
-		}
-	}
-	kb := b.KindCounts()
-	if len(want.kinds) != len(kb) {
-		return false
-	}
-	for k, v := range want.kinds {
-		if kb[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // Scale runs the hot-path scaling benchmark. requests <= 0 defaults to one
-// million (50k in quick mode); groups <= 0 defaults to 8; workers <= 0
-// defaults to the shard count, so the parallel path is exercised even on a
-// single-core machine (where its wall-clock win is neutral by design).
-func Scale(o Options, requests, groups, workers int) ScaleBench {
+// million (50k in quick mode); groups and windows <= 0 default to 8 and 32.
+// The windowed replay's worker bound is the group count, so the parallel
+// path runs even on a single-core machine (where its wall-clock win is
+// neutral by design).
+func Scale(o Options, requests, groups, windows int) ScaleBench {
 	o = o.withDefaults()
 	if requests <= 0 {
 		requests = 1_000_000
@@ -235,69 +193,64 @@ func Scale(o Options, requests, groups, workers int) ScaleBench {
 	if groups <= 0 {
 		groups = 8
 	}
-	fx := scaleCluster(o, requests, groups)
-	if workers <= 0 {
-		workers = groups
+	if windows <= 0 {
+		windows = 32
 	}
+	fx := scaleCluster(o, requests, groups)
 	res := ScaleBench{
 		Seed:      o.Seed,
 		Requests:  fx.trace.Len(),
 		Functions: len(fx.fns),
 		Nodes:     fx.cfg.Nodes,
 		Groups:    groups,
-		Workers:   workers,
+		Workers:   groups,
+		Windows:   windows,
 	}
 
-	// The three replays together allocate ~4 record slices of ~100 MB each at
-	// the million-request scale; with the default GOGC the collector heaps
-	// trigger repeated full marks that tax whichever replay runs last. Relax
-	// GC during the benchmark and drop each replay's records as soon as the
-	// correctness checks are done with them.
+	// The two materialized replays together allocate ~4 record slices of
+	// ~100 MB each at the million-request scale; with the default GOGC the
+	// collector heaps trigger repeated full marks that tax whichever replay
+	// runs last. Relax GC during the benchmark and drop each replay's
+	// records as soon as the correctness checks are done with them.
 	defer debug.SetGCPercent(debug.SetGCPercent(1000))
 
 	scanCfg := fx.cfg
 	scanCfg.RouteScan = true
-	serial, serialMS, serialAllocs := timedRun(res.Requests, func() *metrics.Collector {
-		col, err := simulate.New(scanCfg, fx.fns).Run(fx.trace)
-		if err != nil {
-			panic(err)
+	var serial, indexed *metrics.Collector
+	replay := func(cfg simulate.Config, out **metrics.Collector) func() {
+		return func() {
+			col, err := simulate.New(cfg, fx.fns).Run(fx.trace)
+			if err != nil {
+				panic(err)
+			}
+			*out = col
 		}
-		return col
-	})
-	indexed, indexedMS, indexedAllocs := timedRun(res.Requests, func() *metrics.Collector {
-		col, err := simulate.New(fx.cfg, fx.fns).Run(fx.trace)
-		if err != nil {
-			panic(err)
-		}
-		return col
-	})
+	}
+	res.SerialMS, res.SerialAllocsPerReq = timedRun(res.Requests, replay(scanCfg, &serial))
+	res.IndexedMS, res.IndexedAllocsPerReq = timedRun(res.Requests, replay(fx.cfg, &indexed))
 	res.IndexedMatchesScan = sameRecords(serial, indexed)
-	serialAgg := snapshotAggregates(serial)
+	serialSum := *metrics.SummaryOf(serial)
 	serial, indexed = nil, nil
 
-	var report simulate.ShardReport
-	sharded, shardedMS, shardedAllocs := timedRun(res.Requests, func() *metrics.Collector {
-		col, rep, err := simulate.RunSharded(fx.cfg, fx.fns, fx.trace, workers)
+	var win *metrics.Summary
+	var report simulate.WindowReport
+	res.WindowedMS, res.WindowedAllocsPerReq = timedRun(res.Requests, func() {
+		var err error
+		win, report, err = simulate.RunWindowed(fx.cfg, fx.fns, fx.trace.Cursor(), fx.trace.Duration, windows, groups)
 		if err != nil {
 			panic(err)
 		}
-		report = rep
-		return col
 	})
-
-	res.SerialMS, res.SerialAllocsPerReq = serialMS, serialAllocs
-	res.IndexedMS, res.IndexedAllocsPerReq = indexedMS, indexedAllocs
-	res.ShardedMS, res.ShardedAllocsPerReq = shardedMS, shardedAllocs
-	res.Shards = report.Shards
-	res.ShardSerialReason = report.SerialReason
-	if indexedMS > 0 {
-		res.SpeedupIndexed = serialMS / indexedMS
+	res.MaxPartitions = report.MaxGroups
+	res.WindowedSerialReason = report.SerialReason
+	if res.IndexedMS > 0 {
+		res.SpeedupIndexed = res.SerialMS / res.IndexedMS
 	}
-	if shardedMS > 0 {
-		res.SpeedupSharded = indexedMS / shardedMS
-		res.SpeedupTotal = serialMS / shardedMS
+	if res.WindowedMS > 0 {
+		res.SpeedupWindowed = res.IndexedMS / res.WindowedMS
+		res.SpeedupTotal = res.SerialMS / res.WindowedMS
 	}
-	res.ShardedMatchesSerial = sameAggregates(serialAgg, sharded)
+	res.WindowedMatchesSerial = report.Windowed() && *win == serialSum
 	return res
 }
 
@@ -319,9 +272,9 @@ func (r ScaleBench) WriteFile(dir string) error {
 
 // Render prints the benchmark digest.
 func (r ScaleBench) Render() string {
-	shard := fmt.Sprintf("%d shards", r.Shards)
-	if r.ShardSerialReason != "" {
-		shard = "serial: " + r.ShardSerialReason
+	windowed := fmt.Sprintf("%d windows, max %d partitions", r.Windows, r.MaxPartitions)
+	if r.WindowedSerialReason != "" {
+		windowed = "serial: " + r.WindowedSerialReason
 	}
 	okStr := func(b bool) string {
 		if b {
@@ -333,12 +286,12 @@ func (r ScaleBench) Render() string {
 %d requests, %d functions, %d nodes in %d groups (%s, %d workers)
   serial/scan  %8.1f ms   %6.1f allocs/req
   indexed      %8.1f ms   %6.1f allocs/req   (%.2fx vs scan, records %s)
-  sharded      %8.1f ms   %6.1f allocs/req   (%.2fx vs indexed, aggregates %s)
+  windowed     %8.1f ms   %6.1f allocs/req   (%.2fx vs indexed, summary %s)
   total speedup %.2fx`,
-		r.Seed, r.Requests, r.Functions, r.Nodes, r.Groups, shard, r.Workers,
+		r.Seed, r.Requests, r.Functions, r.Nodes, r.Groups, windowed, r.Workers,
 		r.SerialMS, r.SerialAllocsPerReq,
 		r.IndexedMS, r.IndexedAllocsPerReq, r.SpeedupIndexed, okStr(r.IndexedMatchesScan),
-		r.ShardedMS, r.ShardedAllocsPerReq, r.SpeedupSharded, okStr(r.ShardedMatchesSerial),
+		r.WindowedMS, r.WindowedAllocsPerReq, r.SpeedupWindowed, okStr(r.WindowedMatchesSerial),
 		r.SpeedupTotal)
 	if r.Stream != nil {
 		out += "\n" + r.Stream.Render()

@@ -22,7 +22,7 @@ var streamCeiling = flag.Bool("stream-ceiling", false,
 // equals the materialized one, the windowed replay equals serial on the
 // bridge-connected placement, and the replay actually parallelized.
 func TestStreamScaleSmoke(t *testing.T) {
-	res := StreamScale(Options{Quick: true, Seed: 5}, 30_000, 2, 8, 2)
+	res := StreamScale(Options{Quick: true, Seed: 5}, 30_000, 2, 8)
 	if res.Requests == 0 || res.WindowedRequests == 0 {
 		t.Fatal("empty streaming replay")
 	}
@@ -47,7 +47,7 @@ func TestStreamScaleSmoke(t *testing.T) {
 
 // TestStreamArtifactGuard validates the streaming section of the checked-in
 // BENCH_sim_scale.json against the acceptance bars: a 10M+-request streaming
-// point, per-request allocations at or below the sharded materialized path,
+// point, per-request allocations at or below the indexed materialized path,
 // peak heap within 1.5× of the 10×-smaller baseline (constant memory), and
 // both equality proofs green.
 func TestStreamArtifactGuard(t *testing.T) {
@@ -84,9 +84,9 @@ func TestStreamArtifactGuard(t *testing.T) {
 	if s.Requests < 10_000_000 {
 		t.Errorf("streaming point replayed only %d requests; want >= 10M", s.Requests)
 	}
-	if s.AllocsPerReq > res.ShardedAllocsPerReq {
-		t.Errorf("streaming allocs/req %.4f above the sharded materialized path's %.4f",
-			s.AllocsPerReq, res.ShardedAllocsPerReq)
+	if s.AllocsPerReq > res.IndexedAllocsPerReq {
+		t.Errorf("streaming allocs/req %.4f above the indexed materialized path's %.4f",
+			s.AllocsPerReq, res.IndexedAllocsPerReq)
 	}
 	if s.PeakRatio <= 0 || s.PeakRatio >= 1.5 {
 		t.Errorf("peak heap ratio %.2f (10x the requests must stay under 1.5x the memory)", s.PeakRatio)

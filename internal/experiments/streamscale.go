@@ -25,8 +25,8 @@ import (
 //   - constant memory: peak heap at the full streaming size stays within
 //     1.5× of peak heap at the ~10×-smaller baseline size;
 //   - windowed parallelism: on a placement whose bridge functions connect
-//     every node group (so RunSharded must refuse it), time-windowed
-//     optimistic replay equals the serial streaming engine exactly.
+//     every node group into one component, time-windowed optimistic replay
+//     equals the serial streaming engine exactly.
 type StreamScaleBench struct {
 	// Requests is the full streaming replay size; BaseRequests the smaller
 	// baseline the fidelity and peak-memory comparisons run at.
@@ -47,7 +47,7 @@ type StreamScaleBench struct {
 	// replay's records, at BaseRequests with the same seed.
 	MatchesMaterialized bool `json:"stream_matches_materialized"`
 
-	// Windowed replay on the bridge-connected placement (not shardable).
+	// Windowed replay on the bridge-connected placement.
 	WindowedRequests      int     `json:"windowed_requests"`
 	WindowedMS            float64 `json:"windowed_ms"`
 	WindowedMatchesSerial bool    `json:"windowed_matches_serial"`
@@ -72,8 +72,7 @@ func streamSpec(o Options, requests, base, groups int) scaleSpec {
 
 // bridgeSpec adds one low-rate bridge function between each pair of adjacent
 // node groups, connecting the whole placement into a single component:
-// RunSharded refuses it, while windowed replay parallelizes every window the
-// bridges sit out.
+// windowed replay parallelizes every window the bridges sit out.
 func bridgeSpec(spec scaleSpec, groups int) scaleSpec {
 	const nodesPerGroup = 8
 	bridged := scaleSpec{
@@ -163,9 +162,10 @@ func streamRun(spec scaleSpec, seed int64) (*metrics.Summary, float64, float64, 
 // StreamScale runs the streaming section of the scale benchmark. requests
 // <= 0 defaults to ten million (500k in quick mode); the fidelity and
 // peak-memory baseline runs at a tenth of that; groups and windows <= 0
-// default to 8 and 32. Unlike Scale it leaves the GC at its default: the
-// point is the engine's true memory profile, not benchmark throughput.
-func StreamScale(o Options, requests, groups, windows, workers int) StreamScaleBench {
+// default to 8 and 32, and the windowed replay runs on one worker per group
+// like Scale's. Unlike Scale it leaves the GC at its default: the point is
+// the engine's true memory profile, not benchmark throughput.
+func StreamScale(o Options, requests, groups, windows int) StreamScaleBench {
 	o = o.withDefaults()
 	if requests <= 0 {
 		requests = 10_000_000
@@ -178,9 +178,6 @@ func StreamScale(o Options, requests, groups, windows, workers int) StreamScaleB
 	}
 	if windows <= 0 {
 		windows = 32
-	}
-	if workers <= 0 {
-		workers = groups
 	}
 	base := requests / 10
 	res := StreamScaleBench{Requests: requests, BaseRequests: base}
@@ -221,7 +218,7 @@ func StreamScale(o Options, requests, groups, windows, workers int) StreamScaleB
 	t0 := time.Now()
 	win, rep, err := simulate.RunWindowed(wSpec.cfg, wSpec.fns,
 		workload.StreamPoissonRates(wSpec.rates, wSpec.horizon, o.Seed),
-		wSpec.horizon, windows, workers)
+		wSpec.horizon, windows, groups)
 	if err != nil {
 		panic(err)
 	}

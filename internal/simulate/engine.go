@@ -60,14 +60,6 @@ type Config struct {
 	// set sizes containers to their models (fine-grained, §6).
 	NodeMemoryMB      int
 	ContainerMemoryMB int
-	// TransformFailureRate injects faults: the given fraction of
-	// transformations fail halfway and recover by loading the destination
-	// model from scratch in the same container. Exercises the robustness of
-	// the recovery path; zero (default) disables injection.
-	//
-	// Deprecated: set Faults.Transform instead; this field is folded into
-	// it and kept for callers of the original single-fault API.
-	TransformFailureRate float64
 	// Faults configures deterministic multi-event fault injection
 	// (transform aborts, failed loads, container crashes, node outages);
 	// see package faults. The zero value disables injection, leaving the
@@ -167,9 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Profile == nil {
 		c.Profile = cost.CPU()
-	}
-	if c.TransformFailureRate > 0 && c.Faults.Transform == 0 {
-		c.Faults.Transform = c.TransformFailureRate
 	}
 	switch {
 	case c.MaxRetries == 0:

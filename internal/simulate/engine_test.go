@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cost"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/simulate"
@@ -397,10 +398,10 @@ func TestTransformFailureInjection(t *testing.T) {
 
 	run := func(rate float64) (*metrics.Collector, *simulate.Simulator) {
 		sim := simulate.New(simulate.Config{
-			Policy:               policy.Optimus{},
-			Nodes:                1,
-			ContainersPerNode:    2,
-			TransformFailureRate: rate,
+			Policy:            policy.Optimus{},
+			Nodes:             1,
+			ContainersPerNode: 2,
+			Faults:            faults.Rates{Transform: rate},
 		}, fns)
 		col, err := sim.Run(tr)
 		if err != nil {

@@ -18,10 +18,10 @@ import (
 // Functions in different partitions cannot observe each other's state within
 // the window — routing, queueing, repurposing and completions all stay on a
 // partition's own nodes — so the partitions replay concurrently on workers
-// sharing the real cluster state with disjoint write sets. Unlike RunSharded
-// this needs no globally disjoint placement: overlap only costs parallelism
-// in the windows where the overlapping functions are simultaneously active,
-// which are detected at the window boundary and replayed serially on the
+// sharing the real cluster state with disjoint write sets. No globally
+// disjoint placement is needed: overlap only costs parallelism in the
+// windows where the overlapping functions are simultaneously active, which
+// are detected at the window boundary and replayed serially on the
 // authoritative engine.
 //
 // Why a window partition is exact, not just race-free:
@@ -85,9 +85,9 @@ type windowArrival struct {
 var windowCorruptHook func(window, group int, w *Simulator)
 
 // windowSerialReason names the coupling that forces RunWindowed onto the
-// serial streaming path, or "" when windowed replay is sound. The couplings
-// are exactly planShards': each makes request outcomes depend on global
-// order, not just per-partition order.
+// serial streaming path, or "" when windowed replay is sound. Each coupling
+// makes request outcomes depend on global order, not just per-partition
+// order.
 func windowSerialReason(cfg Config, windows, workers int) string {
 	switch {
 	case cfg.Faults.Enabled():

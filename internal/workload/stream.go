@@ -1,9 +1,9 @@
-// Streaming trace sources: every generator family (Poisson, Mixed,
-// AzureLike) is also available as a lazy per-function arrival iterator
-// merged through a k-way heap, yielding requests in timestamp order with
-// O(functions) memory instead of materializing the whole trace. At a fixed
-// seed the stream is byte-identical to the materialized Trace, including
-// sortTrace's tie-break (equal timestamps order by function name).
+// Trace sources: every generator family (Poisson, Mixed, AzureLike) is a
+// lazy per-function arrival iterator merged through a k-way heap, yielding
+// requests in (timestamp, function name) order with O(functions) memory.
+// The materialized generators in workload.go drain these streams. Each
+// iterator's rng draw order is part of the fixed-seed contract: reordering
+// draws changes every generated trace.
 
 package workload
 
@@ -24,8 +24,7 @@ type Cursor interface {
 // order; ok=false ends the stream (and stays false).
 type arrivalGen func() (at time.Duration, ok bool)
 
-// poissonArrivals yields Poisson arrivals at ratePerSec until duration,
-// drawing gaps in exactly the order the materialized generator does.
+// poissonArrivals yields Poisson arrivals at ratePerSec until duration.
 func poissonArrivals(ratePerSec float64, duration time.Duration, rng *rand.Rand) arrivalGen {
 	at := time.Duration(0)
 	done := false
@@ -42,9 +41,10 @@ func poissonArrivals(ratePerSec float64, duration time.Duration, rng *rand.Rand)
 	}
 }
 
-// diurnalArrivals is genDiurnal as a lazy iterator: a thinned Poisson
-// process whose rate follows a 24-hour sinusoid. Construction performs the
-// same leading rng draws (peak, phase) as the materialized generator.
+// diurnalArrivals yields a non-homogeneous Poisson process whose rate
+// follows a 24-hour sinusoid (peak ≈ 4× trough) with a per-function phase —
+// office and overnight-batch workloads in the Azure characterization.
+// Thinning keeps the process exact. Construction draws peak, then phase.
 func diurnalArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
 	peak := 0.005 + 0.015*rng.Float64()
 	phase := rng.Float64() * 24 * float64(time.Hour)
@@ -71,9 +71,9 @@ func diurnalArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
 	}
 }
 
-// burstyArrivals is genBursty as a lazy iterator: alternating on/off phases
-// with high-rate Poisson arrivals while on. The phase-boundary draw order
-// (onLen, offLen, then gaps) matches the materialized generator exactly.
+// burstyArrivals yields alternating on/off phases; during an on-phase the
+// function sees Poisson arrivals at a high rate. Each phase draws onLen,
+// offLen, then its gaps.
 func burstyArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
 	rate := 0.02 + 0.06*rng.Float64()
 	at := time.Duration(0)  // next phase start
@@ -110,8 +110,8 @@ func burstyArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
 	}
 }
 
-// periodicArrivals is genPeriodic as a lazy iterator: timer-driven arrivals
-// with ±10 % jitter from a random phase.
+// periodicArrivals yields timer-driven arrivals with a fixed period and
+// ±10 % jitter, starting at a random phase.
 func periodicArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
 	periods := []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute, time.Hour}
 	period := periods[rng.Intn(len(periods))]
@@ -129,7 +129,7 @@ func periodicArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
 	}
 }
 
-// rareArrivals is genRare as a lazy iterator: sparse Poisson arrivals.
+// rareArrivals yields sparse Poisson arrivals (mean one per 30-120 minutes).
 func rareArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
 	mean := time.Duration((30 + 90*rng.Float64()) * float64(time.Minute))
 	at := time.Duration(0)
@@ -144,18 +144,6 @@ func rareArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
 			return 0, false
 		}
 		return at, true
-	}
-}
-
-// drain appends every arrival of g to the trace — the materialized
-// generators are exactly their streaming iterators, fully drained.
-func drain(t *Trace, f string, g arrivalGen) {
-	for {
-		at, ok := g()
-		if !ok {
-			return
-		}
-		t.Requests = append(t.Requests, Request{Function: f, At: at})
 	}
 }
 
@@ -200,7 +188,7 @@ func (s *Stream) Next() (Request, bool) {
 	return req, true
 }
 
-// Materialize drains the stream into a Trace (for tests and small runs).
+// Materialize drains the stream into a Trace.
 func (s *Stream) Materialize() *Trace {
 	t := &Trace{Duration: s.duration}
 	for {
@@ -253,8 +241,8 @@ func newStream(duration time.Duration, names []string, gens []arrivalGen) *Strea
 	return s
 }
 
-// StreamPoissonRates is PoissonRates as a constant-memory stream: the same
-// per-function seeds, the same draw order, merged instead of sorted.
+// StreamPoissonRates is PoissonRates as a constant-memory stream. Each
+// function draws from its own rng, seeded by its index in name order.
 func StreamPoissonRates(rates map[string]float64, duration time.Duration, seed int64) *Stream {
 	names := make([]string, 0, len(rates))
 	for f := range rates {
@@ -275,29 +263,9 @@ func StreamPoissonRates(rates map[string]float64, duration time.Duration, seed i
 	return newStream(duration, used, gens)
 }
 
-// StreamPoisson is Poisson as a constant-memory stream.
-func StreamPoisson(fns []string, ratePerSec float64, duration time.Duration, seed int64) *Stream {
-	rates := make(map[string]float64, len(fns))
-	for _, f := range fns {
-		rates[f] = ratePerSec
-	}
-	return StreamPoissonRates(rates, duration, seed)
-}
-
-// StreamMixedPoisson is MixedPoisson as a constant-memory stream.
-func StreamMixedPoisson(fns []string, duration time.Duration, seed int64) *Stream {
-	rates := make(map[string]float64, len(fns))
-	levels := []float64{RateFrequent, RateMiddle, RateInfrequent}
-	for i, f := range fns {
-		rates[f] = levels[i%len(levels)]
-	}
-	return StreamPoissonRates(rates, duration, seed)
-}
-
-// StreamAzureLike is AzureLike as a constant-memory stream: class assignment
-// consumes the shared rng in fns order exactly as the materialized generator
-// does, and each function's iterator performs its construction draws at the
-// same point.
+// StreamAzureLike is AzureLike as a constant-memory stream. Class
+// assignment consumes one shared rng in fns order; each function's arrivals
+// draw from an rng seeded by its name.
 func StreamAzureLike(fns []string, duration time.Duration, seed int64) *Stream {
 	rng := rand.New(rand.NewSource(seed))
 	names := make([]string, 0, len(fns))

@@ -174,7 +174,7 @@ func TestSeries(t *testing.T) {
 func TestPeriodicFunctionsAreRegular(t *testing.T) {
 	// A trace of only periodic functions should show near-constant gaps.
 	tr := &Trace{Duration: 4 * time.Hour}
-	genPeriodic(tr, "p", tr.Duration, newTestRand())
+	drainInto(tr, "p", periodicArrivals(tr.Duration, newTestRand()))
 	if tr.Len() < 3 {
 		t.Skip("period too long for horizon")
 	}

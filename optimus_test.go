@@ -1,6 +1,7 @@
 package optimus
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -71,6 +72,43 @@ func TestSystemEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(rep.Summary(), "requests") {
 		t.Error("summary malformed")
+	}
+}
+
+// TestSystemRunWindowedUsesGOMAXPROCS: the facade's windowed replay runs
+// on GOMAXPROCS workers, parallelizes a partitioned placement (hash
+// placement pins each function to one node) and matches RunStream exactly.
+func TestSystemRunWindowedUsesGOMAXPROCS(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // one worker means serial fallback
+	}
+	img := Imgclsmob()
+	sys := NewSystem(SystemConfig{Nodes: 4, ContainersPerNode: 2, Policy: PolicyOptimus})
+	for _, n := range []string{"resnet18-imagenet", "resnet34-imagenet", "resnet50-imagenet",
+		"vgg11-imagenet", "vgg16-imagenet", "densenet121-imagenet"} {
+		sys.MustRegister(n, img.MustGet(n))
+	}
+	tr := MixedPoissonTrace(sys.Functions(), 6*time.Hour, 5)
+	win, err := sys.RunWindowed(tr, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := win.Windowing
+	if !w.Windowed() {
+		t.Fatalf("windowed replay fell back to serial: %q", w.SerialReason)
+	}
+	if w.Workers != runtime.GOMAXPROCS(0) {
+		t.Errorf("Workers = %d, want GOMAXPROCS = %d", w.Workers, runtime.GOMAXPROCS(0))
+	}
+	if w.ParallelWindows == 0 {
+		t.Errorf("no window parallelized on a partitioned placement: %+v", w)
+	}
+	serial, err := sys.RunStream(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *win.Metrics != *serial.Metrics {
+		t.Errorf("windowed summary != streaming summary:\n%s\n%s", win.Summary(), serial.Summary())
 	}
 }
 
