@@ -278,7 +278,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Len() != trace.Len() {
+		if rep.Metrics.Count() != trace.Len() {
 			b.Fatal("dropped requests")
 		}
 	}

@@ -50,7 +50,8 @@ func main() {
 		chaosRates = flag.String("chaos-rates", "", "comma-separated fault rates for -chaos (default 0,0.05,0.1,0.2,0.4)")
 		recovery   = flag.Bool("recovery", false, "run the supervised-recovery sweep (breaker/watchdog on vs off) and exit")
 		quick      = flag.Bool("quick", false, "shrink the -chaos/-recovery sweeps for fast runs")
-		perFn      = flag.Int("per-function", 0, "print per-function stats for the N slowest functions")
+		perFn      = flag.Int("per-function", 0, "print per-function stats for the N slowest functions (keeps per-request records)")
+		windows    = flag.Int("replay-windows", 0, "split the replay into this many time windows replayed with optimistic parallelism (0 disables; keeps no per-request records)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		saveTrace  = flag.String("save-trace", "", "write the generated workload to this CSV file")
@@ -60,7 +61,6 @@ func main() {
 	ff := cliutil.RegisterFaultFlags(flag.CommandLine, false)
 	rf := cliutil.RegisterResilienceFlags(flag.CommandLine)
 	fo := cliutil.RegisterFanoutFlags(flag.CommandLine)
-	rp := cliutil.RegisterReplayFlags(flag.CommandLine)
 	flag.Parse()
 
 	if err := ff.Validate(); err != nil {
@@ -75,8 +75,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if err := rp.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if *windows < 0 {
+		fmt.Fprintf(os.Stderr, "invalid replay flags: -replay-windows=%d (want ≥ 0)\n", *windows)
+		os.Exit(2)
+	}
+	if *perFn > 0 && *windows > 0 {
+		fmt.Fprintln(os.Stderr, "-per-function needs per-request records, which -replay-windows does not keep")
 		os.Exit(2)
 	}
 
@@ -127,6 +131,8 @@ func main() {
 		Retry:             rf.BackoffConfig(),
 		Hedge:             rf.HedgeConfig(),
 		Fanout:            fo.Config(),
+		KeepRecords:       *perFn > 0,
+		ReplayWindows:     *windows,
 	}
 	sys := optimus.NewSystem(sysCfg)
 
@@ -225,46 +231,13 @@ func main() {
 		os.Exit(1)
 	}
 	start := time.Now()
-	if rp.Streaming() {
-		// Streaming replay keeps no per-request records: the summary is
-		// mergeable aggregates plus sketched percentiles. Windowed replay
-		// runs its partitions on up to GOMAXPROCS workers.
-		var srep *optimus.StreamReport
-		if w := *rp.Windows; w > 0 {
-			srep, err = sys.RunWindowed(trace, w)
-		} else {
-			srep, err = sys.RunStream(trace)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simulation failed:", err)
-			os.Exit(1)
-		}
-		if ws := srep.WindowSummary(); ws != "" {
-			fmt.Println(ws)
-		}
-		fmt.Println(srep.Summary())
-		if fs := srep.FaultSummary(); fs != "" {
-			fmt.Println(fs)
-		}
-		br := srep.Metrics.MeanBreakdown()
-		fmt.Printf("mean breakdown: wait %v, init %v, load %v, compute %v\n", br.Wait, br.Init, br.Load, br.Compute)
-		if *verify {
-			fmt.Printf("transformations executed & verified: %d\n", srep.Verified)
-		}
-		if *perFn > 0 {
-			fmt.Println("per-function stats unavailable in streaming mode (no records retained)")
-		}
-		fmt.Printf("simulated %v of cluster time in %v\n", *horizon, time.Since(start).Round(time.Millisecond))
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	rep, err := sys.Run(trace)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simulation failed:", err)
 		os.Exit(1)
+	}
+	if ws := rep.WindowSummary(); ws != "" {
+		fmt.Println(ws)
 	}
 	fmt.Println(rep.Summary())
 	if fs := rep.FaultSummary(); fs != "" {
@@ -273,7 +246,7 @@ func main() {
 	if fs := rep.FanoutSummary(); fs != "" {
 		fmt.Println(fs)
 	}
-	br := rep.MeanBreakdown()
+	br := rep.Metrics.MeanBreakdown()
 	fmt.Printf("mean breakdown: wait %v, init %v, load %v, compute %v\n", br.Wait, br.Init, br.Load, br.Compute)
 	if *verify {
 		fmt.Printf("transformations executed & verified: %d\n", rep.Verified)
@@ -285,7 +258,7 @@ func main() {
 			n    int
 		}
 		var rows []row
-		for name, col := range rep.PerFunction() {
+		for name, col := range rep.Records.PerFunction() {
 			rows = append(rows, row{name, col.MeanLatency(), col.Len()})
 		}
 		sort.Slice(rows, func(i, j int) bool { return rows[i].mean > rows[j].mean })

@@ -61,8 +61,8 @@ func ExampleSystem_Run() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("served all requests: %v\n", rep.Len() == trace.Len())
-	fmt.Printf("optimus beat a pure cold-start policy: %v\n", rep.MeanLatency() > 0)
+	fmt.Printf("served all requests: %v\n", rep.Metrics.Count() == trace.Len())
+	fmt.Printf("optimus beat a pure cold-start policy: %v\n", rep.Metrics.MeanLatency() > 0)
 	// Output:
 	// served all requests: true
 	// optimus beat a pure cold-start policy: true

@@ -68,5 +68,5 @@ func main() {
 	}
 	fmt.Println("openwhisk:", brep.Summary())
 	fmt.Printf("mean service time reduced by %.1f%%; %d transformations executed and verified\n",
-		100*(1-float64(rep.MeanLatency())/float64(brep.MeanLatency())), rep.Verified)
+		100*(1-float64(rep.Metrics.MeanLatency())/float64(brep.Metrics.MeanLatency())), rep.Verified)
 }

@@ -49,9 +49,9 @@ func main() {
 		}
 		fmt.Printf("%-10s %s\n", pol, rep.Summary())
 		if pol == optimus.PolicyOpenWhisk {
-			baseline = rep.MeanLatency()
+			baseline = rep.Metrics.MeanLatency()
 		} else {
-			red := 1 - float64(rep.MeanLatency())/float64(baseline)
+			red := 1 - float64(rep.Metrics.MeanLatency())/float64(baseline)
 			fmt.Printf("           → %.1f%% lower mean service time than OpenWhisk\n", 100*red)
 		}
 	}

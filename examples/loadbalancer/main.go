@@ -48,5 +48,5 @@ func main() {
 	fmt.Println("hash placement     :", hash.Summary())
 	fmt.Println("k-medoids placement:", kmed.Summary())
 	fmt.Printf("\nmodel-sharing-aware placement changes mean service time by %+.1f%%\n",
-		100*(float64(kmed.MeanLatency())/float64(hash.MeanLatency())-1))
+		100*(float64(kmed.Metrics.MeanLatency())/float64(hash.Metrics.MeanLatency())-1))
 }

@@ -56,7 +56,7 @@ func main() {
 		panic(err)
 	}
 	fmt.Println("baseline:", brep.Summary())
-	red := 1 - float64(rep.MeanLatency())/float64(brep.MeanLatency())
+	red := 1 - float64(rep.Metrics.MeanLatency())/float64(brep.Metrics.MeanLatency())
 	fmt.Printf("optimus reduces mean service time by %.1f%% (%d transformations verified)\n",
 		100*red, rep.Verified)
 }

@@ -307,37 +307,6 @@ func (f *FanoutFlags) Config() fanout.Config {
 	}
 }
 
-// ReplayFlags bundles the streaming-replay mode flags the binaries share:
-// -stream selects the constant-memory streaming engine (aggregate summary
-// only, no per-request records), and -replay-windows adds time-windowed
-// optimistic parallelism on top of it.
-type ReplayFlags struct {
-	Stream  *bool
-	Windows *int
-}
-
-// RegisterReplayFlags installs the shared streaming-replay flags on fs.
-func RegisterReplayFlags(fs *flag.FlagSet) *ReplayFlags {
-	return &ReplayFlags{
-		Stream: fs.Bool("stream", false,
-			"constant-memory streaming replay: fold records into a mergeable summary instead of retaining them"),
-		Windows: fs.Int("replay-windows", 0,
-			"split a streaming replay into this many time windows replayed with optimistic parallelism (0 disables; implies -stream)"),
-	}
-}
-
-// Validate checks the replay flag values, reporting every bad value in one
-// consolidated error like ValidateProbs.
-func (r *ReplayFlags) Validate() error {
-	if *r.Windows < 0 {
-		return fmt.Errorf("invalid replay flags: -replay-windows=%d (want ≥ 0)", *r.Windows)
-	}
-	return nil
-}
-
-// Streaming reports whether a streaming-engine replay was requested.
-func (r *ReplayFlags) Streaming() bool { return *r.Stream || *r.Windows > 0 }
-
 // ControlPlaneFlags bundles the multi-gateway control-plane flags: the
 // process's ring identity, the peer set, and the ring's virtual-node count
 // (one registration + validation path, like FaultFlags).

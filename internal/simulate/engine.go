@@ -423,46 +423,70 @@ func (s *Simulator) Env() *Env { return s.env }
 // Collector returns the accumulated request metrics.
 func (s *Simulator) Collector() *metrics.Collector { return &s.collector }
 
-// Run replays the trace to completion and returns the collected metrics.
-// Unknown function names in the trace are an error.
-//
-// Arrivals are not pushed onto the event heap: the trace is resolved and
-// time-sorted upfront, then stream-merged with engine events, keeping the
-// heap sized by in-flight work instead of trace length. Ordering matches the
-// previous all-in-one heap exactly: at equal timestamps arrivals fire before
-// engine events (arrivals held the lower sequence numbers), arrivals keep
-// trace order (stable sort), and engine events keep scheduling order.
+// Run replays the trace to completion, retaining every record, and returns
+// the collector. A trace out of time order replays from a stably time-sorted
+// copy (ties keep trace order); the trace itself is not modified. Unknown
+// function names in the trace are an error.
 func (s *Simulator) Run(trace *workload.Trace) (*metrics.Collector, error) {
-	type arrival struct {
-		at time.Duration
-		fr *fnRuntime
+	reqs := trace.Requests
+	if !sort.SliceIsSorted(reqs, func(i, j int) bool { return reqs[i].At < reqs[j].At }) {
+		reqs = append([]workload.Request(nil), reqs...)
+		sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].At < reqs[j].At })
 	}
-	arrivals := make([]arrival, len(trace.Requests))
-	inOrder := true
-	for i, r := range trace.Requests {
-		fn, ok := s.fns[r.Function]
-		if !ok {
-			return nil, fmt.Errorf("simulate: trace references unknown function %q", r.Function)
-		}
-		arrivals[i] = arrival{at: r.At, fr: s.rt(fn)}
-		if i > 0 && r.At < arrivals[i-1].at {
-			inOrder = false
-		}
+	s.collector.Reserve(s.collector.Len() + len(reqs))
+	if err := s.replay((&workload.Trace{Requests: reqs}).Cursor()); err != nil {
+		return nil, err
 	}
-	if !inOrder {
-		sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].at < arrivals[j].at })
+	return &s.collector, nil
+}
+
+// RunStream replays requests pulled lazily from src in constant memory: the
+// collector folds every record into a mergeable Summary instead of retaining
+// it, so memory is bounded by cluster state (nodes, containers, in-flight
+// events), independent of trace length. The summary equals
+// metrics.SummaryOf(Run's collector) on the same requests.
+func (s *Simulator) RunStream(src workload.Cursor) (*metrics.Summary, error) {
+	sum := &metrics.Summary{}
+	s.collector.StreamInto(sum)
+	if err := s.replay(src); err != nil {
+		return nil, err
 	}
+	sum.Faults.Merge(s.collector.Faults)
+	sum.Fanout.Merge(s.collector.Fanout)
+	return sum, nil
+}
+
+// replay is the serial event loop behind Run and RunStream. Arrivals pulled
+// from src are stream-merged with engine events instead of being pushed onto
+// the event heap, which stays sized by in-flight work: at equal timestamps
+// arrivals fire before engine events, arrivals keep source order, and engine
+// events keep scheduling order. src must yield nondecreasing timestamps;
+// out-of-order input or an unknown function name is an error.
+func (s *Simulator) replay(src workload.Cursor) error {
 	if !s.cfg.RouteScan || s.cfg.CrossCheckRouting {
 		s.enableIndex()
 	}
-	s.collector.Reserve(s.collector.Len() + len(arrivals))
-	next := 0
-	for next < len(arrivals) || len(s.events) > 0 {
-		if next < len(arrivals) && (len(s.events) == 0 || arrivals[next].at <= s.events[0].at) {
-			a := arrivals[next]
-			next++
-			s.clock = a.at
-			s.arrive(a.fr, a.at)
+	req, ok := src.Next()
+	last := req.At
+	for ok || len(s.events) > 0 {
+		if ok && (len(s.events) == 0 || req.At <= s.events[0].at) {
+			if req.At < last {
+				return fmt.Errorf("simulate: stream out of order: %v after %v", req.At, last)
+			}
+			last = req.At
+			// Replay never redeploys a function, so a cached runtime is
+			// current and the function table is consulted once per name.
+			fr := s.fnRt[req.Function]
+			if fr == nil {
+				fn, known := s.fns[req.Function]
+				if !known {
+					return fmt.Errorf("simulate: trace references unknown function %q", req.Function)
+				}
+				fr = s.rt(fn)
+			}
+			s.clock = req.At
+			s.arrive(fr, req.At)
+			req, ok = src.Next()
 			continue
 		}
 		s.step(s.events.pop())
@@ -472,7 +496,7 @@ func (s *Simulator) Run(trace *workload.Trace) (*metrics.Collector, error) {
 	for _, run := range s.fanoutLog {
 		s.mergeFanout(run)
 	}
-	return &s.collector, nil
+	return nil
 }
 
 // step advances the clock to the event and fires it.
@@ -492,50 +516,6 @@ func (s *Simulator) step(ev event) {
 	case evFanoutCrash:
 		s.fanoutCrash(ev)
 	}
-}
-
-// RunStream replays requests pulled lazily from src — the constant-memory
-// twin of Run: no arrivals slice is materialized, and the collector runs in
-// streaming mode, folding every record into a mergeable Summary instead of
-// retaining it. Memory is bounded by cluster state (nodes, containers,
-// in-flight events), independent of trace length.
-//
-// The arrival/event interleaving matches Run exactly: at equal timestamps
-// arrivals fire before engine events. src must yield requests in
-// nondecreasing timestamp order (any Stream or Trace.Cursor qualifies);
-// out-of-order input or an unknown function name is an error.
-func (s *Simulator) RunStream(src workload.Cursor) (*metrics.Summary, error) {
-	sum := &metrics.Summary{}
-	s.collector.StreamInto(sum)
-	if !s.cfg.RouteScan || s.cfg.CrossCheckRouting {
-		s.enableIndex()
-	}
-	req, ok := src.Next()
-	var last time.Duration
-	for ok || len(s.events) > 0 {
-		if ok && (len(s.events) == 0 || req.At <= s.events[0].at) {
-			if req.At < last {
-				return nil, fmt.Errorf("simulate: stream out of order: %v after %v", req.At, last)
-			}
-			last = req.At
-			fn, known := s.fns[req.Function]
-			if !known {
-				return nil, fmt.Errorf("simulate: trace references unknown function %q", req.Function)
-			}
-			fr := s.rt(fn)
-			s.clock = req.At
-			s.arrive(fr, req.At)
-			req, ok = src.Next()
-			continue
-		}
-		s.step(s.events.pop())
-	}
-	for _, run := range s.fanoutLog {
-		s.mergeFanout(run)
-	}
-	sum.Faults.Merge(s.collector.Faults)
-	sum.Fanout.Merge(s.collector.Fanout)
-	return sum, nil
 }
 
 type eventKind uint8
@@ -637,8 +617,16 @@ func (s *Simulator) schedule(ev event) {
 	s.events.push(ev)
 }
 
-// arrive routes a new request to a node and tries to serve it.
+// arrive admits a new request and dispatches it.
 func (s *Simulator) arrive(fr *fnRuntime, arrival time.Duration) {
+	s.admit(fr, arrival)
+	s.dispatch(fr, arrival, 0)
+}
+
+// admit does the per-arrival bookkeeping replay and Online share: it updates
+// the function's inter-arrival EWMA and draws the arrival-time faults, a node
+// outage and a gray slow window, each on the node the request routes to.
+func (s *Simulator) admit(fr *fnRuntime, arrival time.Duration) {
 	s.observeArrival(fr, arrival)
 	if s.inj.Fire(faults.Outage) {
 		s.failNode(s.routeFor(fr))
@@ -646,7 +634,6 @@ func (s *Simulator) arrive(fr *fnRuntime, arrival time.Duration) {
 	if s.inj.Fire(faults.Slow) {
 		s.slowNode(s.routeFor(fr))
 	}
-	s.dispatch(fr, arrival, 0)
 }
 
 // slowNode opens (or extends) a gray slow window on the node: it keeps
@@ -769,8 +756,9 @@ func (s *Simulator) routeFor(fr *fnRuntime) *Node {
 // containers across the cluster.
 //
 // This is the legacy scanning router: O(containers) per candidate node. It
-// serves the Online path, the RouteScan baseline, and the CrossCheckRouting
-// oracle; trace replay normally routes through routeIndexed.
+// routes whenever the index is off (Online serving and the RouteScan
+// baseline) and is the CrossCheckRouting oracle; trace replay normally
+// routes through routeIndexed.
 func (s *Simulator) route(fn *Function) *Node {
 	cands := s.candidates(fn)
 	now := s.clock
@@ -1076,55 +1064,14 @@ func (s *Simulator) hedgeDeadline(node *Node, fn *Function, now time.Duration) (
 	return hd, true
 }
 
-// serve asks the policy for a decision and, if possible, executes it:
-// charging latencies, occupying the container, and scheduling completion.
+// serve asks for a decision and, if possible, executes it: occupying the
+// container, recording the request, and scheduling its completion (or its
+// injected crash).
 func (s *Simulator) serve(node *Node, fr *fnRuntime, arrival time.Duration, retries int) bool {
 	now := s.clock
-	fn := fr.fn
-	node.expireIndex(now)
-	node.EvictExpired(now, s.env.KeepAlive)
-	d, ok := s.cfg.Policy.Serve(s.env, node, fn, now)
+	d, c, compute, ok := s.decide(node, fr, now)
 	if !ok {
 		return false
-	}
-	if d.Reuse != nil && d.Reuse.fanoutFresh {
-		// First service of a replica warmed by a fan-out tree: a warm reuse
-		// is credited to the tree. Any other decision (e.g. repurposing the
-		// replica for another function) just consumes the flag.
-		d.Reuse.fanoutFresh = false
-		if d.Kind == metrics.StartWarm {
-			d.Kind = metrics.StartFanout
-		}
-	}
-	if s.cfg.VerifyTransforms && d.Plan != nil && d.Reuse != nil {
-		if err := metaop.Verify(s.env.Profile, d.Plan, d.Reuse.Fn.Model, fn.Model); err != nil {
-			//optimus:allow panicpath — cross-check oracle: executed transformation contradicts its plan
-			panic(fmt.Sprintf("simulate: transformation verification failed: %v", err))
-		}
-		s.TransformsVerified++
-	}
-	if s.cfg.OnlineProfiling > 0 && d.Plan != nil && d.Reuse != nil && !d.Plan.LoadFromScratch {
-		s.observeExecution(d.Plan, d.Reuse.Fn.Model)
-	}
-	d = s.superviseDecision(d, fn, node, now)
-
-	c := d.Reuse
-	if c == nil {
-		c = node.newContainer(fn, s.env.GrantFor(fn), now)
-	} else if s.env.MemoryMode == MemoryFineGrained {
-		// Fine-grained allocation resizes the repurposed container to the
-		// new model, releasing the surplus the homogeneous mode would waste.
-		c.MemMB = s.env.GrantFor(fn)
-	}
-	c.Fn = fn
-	compute := s.computeFor(fr)
-	if node.Slow(now) {
-		// A gray-slow node serves everything SlowFactor× slower; each
-		// breakdown component inflates alike so records stay additive.
-		f := s.cfg.SlowFactor
-		d.Init = time.Duration(float64(d.Init) * f)
-		d.Load = time.Duration(float64(d.Load) * f)
-		compute = time.Duration(float64(compute) * f)
 	}
 	service := d.Init + d.Load + compute
 	if s.inj.Fire(faults.Crash) {
@@ -1149,7 +1096,7 @@ func (s *Simulator) serve(node *Node, fr *fnRuntime, arrival time.Duration, retr
 	node.noteStartService(c, fr.ord)
 	s.watchdog.Lease(c.ID, end)
 	s.collector.Add(metrics.Record{
-		Function: fn.Name,
+		Function: fr.fn.Name,
 		Kind:     d.Kind,
 		Arrival:  arrival,
 		Start:    now,
@@ -1162,6 +1109,62 @@ func (s *Simulator) serve(node *Node, fr *fnRuntime, arrival time.Duration, retr
 	})
 	s.schedule(event{at: end, kind: evComplete, node: node, c: c})
 	return true
+}
+
+// decide is the serve decision replay and Online share: it evicts expired
+// containers, asks the policy, credits a fan-out replica's first warm
+// service, verifies and profiles the transformation plan (when configured),
+// applies supervision and fault injection, grants the serving container, and
+// inflates the service inside a gray slow window. ok is false when the node
+// cannot serve fr at `at`.
+func (s *Simulator) decide(node *Node, fr *fnRuntime, at time.Duration) (d Decision, c *Container, compute time.Duration, ok bool) {
+	fn := fr.fn
+	node.expireIndex(at)
+	node.EvictExpired(at, s.env.KeepAlive)
+	d, ok = s.cfg.Policy.Serve(s.env, node, fn, at)
+	if !ok {
+		return d, nil, 0, false
+	}
+	if d.Reuse != nil && d.Reuse.fanoutFresh {
+		// First service of a replica warmed by a fan-out tree: a warm reuse
+		// is credited to the tree. Any other decision (e.g. repurposing the
+		// replica for another function) just consumes the flag.
+		d.Reuse.fanoutFresh = false
+		if d.Kind == metrics.StartWarm {
+			d.Kind = metrics.StartFanout
+		}
+	}
+	if s.cfg.VerifyTransforms && d.Plan != nil && d.Reuse != nil {
+		if err := metaop.Verify(s.env.Profile, d.Plan, d.Reuse.Fn.Model, fn.Model); err != nil {
+			//optimus:allow panicpath — cross-check oracle: executed transformation contradicts its plan
+			panic(fmt.Sprintf("simulate: transformation verification failed: %v", err))
+		}
+		s.TransformsVerified++
+	}
+	if s.cfg.OnlineProfiling > 0 && d.Plan != nil && d.Reuse != nil && !d.Plan.LoadFromScratch {
+		s.observeExecution(d.Plan, d.Reuse.Fn.Model)
+	}
+	d = s.superviseDecision(d, fn, node, at)
+
+	c = d.Reuse
+	if c == nil {
+		c = node.newContainer(fn, s.env.GrantFor(fn), at)
+	} else if s.env.MemoryMode == MemoryFineGrained {
+		// Fine-grained allocation resizes the repurposed container to the
+		// new model, releasing the surplus the homogeneous mode would waste.
+		c.MemMB = s.env.GrantFor(fn)
+	}
+	c.Fn = fn
+	compute = s.computeFor(fr)
+	if node.Slow(at) {
+		// A gray-slow node serves everything SlowFactor× slower; each
+		// breakdown component inflates alike so records stay additive.
+		f := s.cfg.SlowFactor
+		d.Init = time.Duration(float64(d.Init) * f)
+		d.Load = time.Duration(float64(d.Load) * f)
+		compute = time.Duration(float64(compute) * f)
+	}
+	return d, c, compute, true
 }
 
 // crash destroys a container at its crash point and re-dispatches the

@@ -111,11 +111,12 @@ func (o *Online) ReadCollector(f func(*metrics.Collector)) {
 }
 
 // Invoke serves one request for the named function arriving at `now`
-// (an offset from server start) and returns its record. If every container
-// is busy, the request waits for the earliest completion on its routed node.
-// Injected faults (package faults) degrade the request: failed transforms
-// fall back to a from-scratch load, crashed containers cause bounded
-// retries, and a request that exhausts its retry budget returns an error.
+// (an offset from server start) and returns its record. The serve decision
+// is the trace engine's own (Simulator.decide); Online differs only in
+// never queueing. If every container is busy, the request reserves the
+// earliest completion on its routed node, and a container crash retries the
+// request inline from the crash point on a freshly routed node. A request
+// that exhausts its retry budget returns an error.
 func (o *Online) Invoke(name string, now time.Duration) (metrics.Record, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -129,13 +130,7 @@ func (o *Online) Invoke(name string, now time.Duration) (metrics.Record, error) 
 	}
 	s.clock = now
 	fr := s.rt(fn)
-	s.observeArrival(fr, now)
-	if s.inj.Fire(faults.Outage) {
-		s.outageOnline(s.route(fn), now)
-	}
-	if s.inj.Fire(faults.Slow) {
-		s.slowNode(s.route(fn))
-	}
+	s.admit(fr, now)
 	node := s.route(fn)
 
 	start := now
@@ -150,97 +145,64 @@ func (o *Online) Invoke(name string, now time.Duration) (metrics.Record, error) 
 			}
 			start = node.DownUntil
 		}
-		node.EvictExpired(start, s.env.KeepAlive)
-		d, ok := s.cfg.Policy.Serve(s.env, node, fn, start)
-		if ok {
-			d = s.superviseDecision(d, fn, node, start)
-			c := d.Reuse
-			if c == nil {
-				c = node.newContainer(fn, s.env.GrantFor(fn), start)
-			} else if s.env.MemoryMode == MemoryFineGrained {
-				c.MemMB = s.env.GrantFor(fn)
-			}
-			c.Fn = fn
-			compute := s.computeFor(fr)
-			if node.Slow(start) {
-				// Inside a gray slow window every component inflates alike,
-				// mirroring the trace engine.
-				f := s.cfg.SlowFactor
-				d.Init = time.Duration(float64(d.Init) * f)
-				d.Load = time.Duration(float64(d.Load) * f)
-				compute = time.Duration(float64(compute) * f)
-			}
-			service := d.Init + d.Load + compute
-			if s.inj.Fire(faults.Crash) {
-				// The container dies mid-request; retry from the crash
-				// point on a freshly routed node, or give up once the
-				// budget is spent.
-				c.dead = true
-				node.Remove(c)
-				s.collector.Faults.Crashes++
-				s.health.ObserveFailure(node.ID, start)
-				if retries >= s.cfg.MaxRetries {
-					s.collector.Faults.Dropped++
-					return metrics.Record{}, fmt.Errorf("simulate: %q failed %d attempts: %w", name, retries+1, ErrRequestDropped)
+		d, c, compute, ok := s.decide(node, fr, start)
+		if !ok {
+			// Everything busy: jump to the node's earliest completion.
+			next := time.Duration(-1)
+			for _, ct := range node.Containers {
+				if ct.BusyUntil > start && (next < 0 || ct.BusyUntil < next) {
+					next = ct.BusyUntil
 				}
-				s.collector.Faults.Retries++
-				if delay := s.backoff.Delay(retries); delay > 0 {
-					// The deterministic retry backoff holds the re-dispatch
-					// instead of hammering the next node immediately.
-					s.collector.Faults.BackoffRetries++
-					start += delay
-				}
-				retries++
-				start += service / 2
-				node = s.route(fn)
-				continue
 			}
-			s.health.ObserveServed(node.ID, start, service)
-			end := start + service
-			c.BusyUntil = end
-			c.LastDone = end
-			rec := metrics.Record{
-				Function: fn.Name,
-				Kind:     d.Kind,
-				Arrival:  now,
-				Start:    start,
-				End:      end,
-				Wait:     start - now,
-				Init:     d.Init,
-				Load:     d.Load,
-				Compute:  compute,
-				Retries:  retries,
+			if next < 0 {
+				return metrics.Record{}, fmt.Errorf("simulate: node %d cannot serve %q", node.ID, name)
 			}
-			s.collector.Add(rec)
-			return rec, nil
+			start = next
+			continue
 		}
-		// Everything busy: jump to the node's earliest completion.
-		next := time.Duration(-1)
-		for _, c := range node.Containers {
-			if c.BusyUntil > start && (next < 0 || c.BusyUntil < next) {
-				next = c.BusyUntil
+		service := d.Init + d.Load + compute
+		if s.inj.Fire(faults.Crash) {
+			// The container dies mid-request; retry from the crash point on
+			// a freshly routed node, or give up once the budget is spent.
+			c.dead = true
+			node.Remove(c)
+			s.collector.Faults.Crashes++
+			s.health.ObserveFailure(node.ID, start)
+			if retries >= s.cfg.MaxRetries {
+				s.collector.Faults.Dropped++
+				return metrics.Record{}, fmt.Errorf("simulate: %q failed %d attempts: %w", name, retries+1, ErrRequestDropped)
 			}
+			s.collector.Faults.Retries++
+			if delay := s.backoff.Delay(retries); delay > 0 {
+				// The deterministic retry backoff holds the re-dispatch
+				// instead of hammering the next node immediately.
+				s.collector.Faults.BackoffRetries++
+				start += delay
+			}
+			retries++
+			start += service / 2
+			node = s.route(fn)
+			continue
 		}
-		if next < 0 {
-			return metrics.Record{}, fmt.Errorf("simulate: node %d cannot serve %q", node.ID, name)
+		s.health.ObserveServed(node.ID, start, service)
+		end := start + service
+		c.BusyUntil = end
+		c.LastDone = end
+		rec := metrics.Record{
+			Function: fn.Name,
+			Kind:     d.Kind,
+			Arrival:  now,
+			Start:    start,
+			End:      end,
+			Wait:     start - now,
+			Init:     d.Init,
+			Load:     d.Load,
+			Compute:  compute,
+			Retries:  retries,
 		}
-		start = next
+		s.collector.Add(rec)
+		return rec, nil
 	}
-}
-
-// outageOnline takes a node down in interactive mode: resident containers
-// are lost and later invocations route around the node until it recovers.
-// Records already returned to callers keep their precomputed latencies.
-func (s *Simulator) outageOnline(n *Node, now time.Duration) {
-	n.DownUntil = now + s.cfg.OutageDuration
-	for _, c := range n.Containers {
-		c.dead = true
-		c.hasServing = false
-		s.watchdog.Expire(c.ID)
-	}
-	n.Containers = nil
-	s.collector.Faults.Outages++
-	s.health.ObserveFailure(n.ID, now)
 }
 
 // Breaker exposes the transform circuit breaker (nil when disabled).

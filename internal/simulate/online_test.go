@@ -1,13 +1,16 @@
 package simulate_test
 
 import (
+	"errors"
 	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/simulate"
+	"repro/internal/workload"
 )
 
 func newOnline(t *testing.T, slots int, names ...string) *simulate.Online {
@@ -115,5 +118,76 @@ func TestFunctionsSorted(t *testing.T) {
 	}
 	if !sort.StringsAreSorted(got) {
 		t.Errorf("Functions() not sorted: %v", got)
+	}
+}
+
+// TestOnlineMatchesReplay is the differential check between the two serving
+// paths. Both take the same serve decision (policy, verification, online
+// profiling, supervision, container grant, slow windows), so on a
+// queue-free trace serial Online.Invoke returns exactly the records the
+// trace engine keeps, in the same order, with the same fault tallies and
+// health summary.
+func TestOnlineMatchesReplay(t *testing.T) {
+	names := []string{"resnet18-imagenet", "resnet34-imagenet", "resnet50-imagenet",
+		"vgg11-imagenet", "densenet121-imagenet"}
+	fns := testFunctions(t, names...)
+	cases := []struct {
+		name string
+		cfg  simulate.Config
+	}{
+		{"clean", simulate.Config{VerifyTransforms: true}},
+		{"gray", simulate.Config{
+			Faults: faults.Rates{Transform: 0.1, Flaky: 0.02, Bandwidth: 0.05,
+				Hang: 0.1, Load: 0.1, Slow: 0.02},
+			WatchdogFactor: 2,
+		}},
+		{"crash-outage", simulate.Config{Faults: faults.Rates{Crash: 0.01, Outage: 0.002}}},
+		{"health", simulate.Config{
+			Faults: faults.Rates{Slow: 0.02, Hang: 0.1},
+			Health: healthConfig(),
+		}},
+		{"online-profiling", simulate.Config{OnlineProfiling: 0.2, EstimatorErr: 0.5}},
+	}
+	for i, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.Policy, cfg.Nodes, cfg.ContainersPerNode, cfg.Seed = policy.Optimus{}, 2, 3, int64(i+1)
+			tr := workload.Poisson(names, 0.02, 6*time.Hour, int64(10+i))
+			sim := simulate.New(cfg, fns)
+			col, err := sim.Run(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if col.KindCounts()[metrics.StartTransform] == 0 || col.Faults.Any() != cfg.Faults.Enabled() {
+				t.Fatalf("fixture exercises too little: kinds %v, faults %+v", col.KindCounts(), col.Faults)
+			}
+			on := simulate.NewOnline(cfg, fns)
+			var got []metrics.Record
+			for _, r := range tr.Requests {
+				rec, err := on.Invoke(r.Function, r.At)
+				if errors.Is(err, simulate.ErrRequestDropped) {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, rec)
+			}
+			want := col.Records()
+			if len(got) != len(want) {
+				t.Fatalf("Online served %d records, replay %d", len(got), len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("record %d of %d:\n online %+v\n replay %+v", j, len(want), got[j], want[j])
+				}
+			}
+			if f := on.Collector().Faults; f != col.Faults {
+				t.Errorf("fault tallies differ:\n online %+v\n replay %+v", f, col.Faults)
+			}
+			if h, want := on.Health().Summarize(), sim.Health().Summarize(); h != want {
+				t.Errorf("health summaries differ:\n online %+v\n replay %+v", h, want)
+			}
+		})
 	}
 }

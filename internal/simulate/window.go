@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -66,6 +67,8 @@ type WindowReport struct {
 	// TransformsVerified and TransformsFailed aggregate across workers.
 	TransformsVerified int
 	TransformsFailed   int
+	// Health summarizes node health; only a serial fallback can track it.
+	Health health.Summary
 }
 
 // Windowed reports whether the replay actually ran the windowed engine.
@@ -224,6 +227,7 @@ func RunWindowed(cfg Config, fns []*Function, src workload.Cursor, duration time
 		sum, err := sim.RunStream(src)
 		report.TransformsVerified = sim.TransformsVerified
 		report.TransformsFailed = sim.TransformsFailed
+		report.Health = sim.Health().Summarize()
 		return sum, report, err
 	}
 

@@ -282,6 +282,15 @@ type SystemConfig struct {
 	// Fanout configures fault-tolerant fan-out transform trees for burst
 	// absorption; the zero value disables them.
 	Fanout FanoutConfig
+	// KeepRecords makes Run retain every per-request record in
+	// Report.Records. By default a replay keeps none and runs in constant
+	// memory: every record folds into Report.Metrics.
+	KeepRecords bool
+	// ReplayWindows, when positive, replays through that many time windows
+	// with optimistic parallelism on up to GOMAXPROCS workers (see
+	// Report.Windowing). Results equal the serial replay's exactly. It keeps
+	// no records, so setting it with KeepRecords is an error.
+	ReplayWindows int
 }
 
 // System is a serverless ML inference cluster: functions bound to models,
@@ -381,69 +390,39 @@ func (s *System) simConfig(trace *Trace) (simulate.Config, error) {
 	}, nil
 }
 
-// Run replays the trace against the cluster and returns the report.
+// Run replays the trace against the cluster and returns the report. The
+// replay is serial unless SystemConfig.ReplayWindows is set, and keeps
+// per-request records only with SystemConfig.KeepRecords.
 func (s *System) Run(trace *Trace) (*Report, error) {
+	if s.cfg.KeepRecords && s.cfg.ReplayWindows > 0 {
+		return nil, fmt.Errorf("optimus: KeepRecords and ReplayWindows are mutually exclusive (windowed replay keeps no records)")
+	}
 	cfg, err := s.simConfig(trace)
 	if err != nil {
 		return nil, err
+	}
+	rep := &Report{Policy: string(s.cfg.Policy)}
+	if s.cfg.ReplayWindows > 0 {
+		rep.Metrics, rep.Windowing, err = simulate.RunWindowed(cfg, s.fns, trace.Cursor(), trace.Duration, s.cfg.ReplayWindows, 0)
+		if err != nil {
+			return nil, err
+		}
+		rep.Verified, rep.Health = rep.Windowing.TransformsVerified, rep.Windowing.Health
+		return rep, nil
 	}
 	sim := simulate.New(cfg, s.fns)
-	col, err := sim.Run(trace)
+	if s.cfg.KeepRecords {
+		if rep.Records, err = sim.Run(trace); err == nil {
+			rep.Metrics = metrics.SummaryOf(rep.Records)
+		}
+	} else {
+		rep.Metrics, err = sim.RunStream(trace.Cursor())
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &Report{
-		Collector: col,
-		Policy:    string(s.cfg.Policy),
-		Verified:  sim.TransformsVerified,
-		Health:    sim.Health().Summarize(),
-	}, nil
-}
-
-// RunStream replays the trace like Run but in constant memory: requests pull
-// lazily through a cursor and every record folds into a mergeable summary
-// instead of being retained. Aggregate results (counts, mean, kind fractions,
-// fault tallies, exact breakdown sums) are identical to Run's; intermediate
-// percentiles come from a bounded-error sketch (see DESIGN.md).
-func (s *System) RunStream(trace *Trace) (*StreamReport, error) {
-	cfg, err := s.simConfig(trace)
-	if err != nil {
-		return nil, err
-	}
-	sim := simulate.New(cfg, s.fns)
-	sum, err := sim.RunStream(trace.Cursor())
-	if err != nil {
-		return nil, err
-	}
-	return &StreamReport{
-		Metrics:  sum,
-		Policy:   string(s.cfg.Policy),
-		Verified: sim.TransformsVerified,
-	}, nil
-}
-
-// RunWindowed replays the trace through time-windowed optimistic parallelism:
-// each window speculates across the placement's per-window independent node
-// partitions on up to GOMAXPROCS goroutines, and windows whose active
-// functions conflict replay serially — no globally disjoint placement is
-// required. Results are exactly RunStream's; configurations that couple
-// requests globally fall back to serial streaming replay, and
-// StreamReport.Windowing says why.
-func (s *System) RunWindowed(trace *Trace, windows int) (*StreamReport, error) {
-	cfg, err := s.simConfig(trace)
-	if err != nil {
-		return nil, err
-	}
-	sum, rep, err := simulate.RunWindowed(cfg, s.fns, trace.Cursor(), trace.Duration, windows, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamReport{
-		Metrics:   sum,
-		Policy:    string(s.cfg.Policy),
-		Verified:  rep.TransformsVerified,
-		Windowing: rep,
-	}, nil
+	rep.Verified, rep.Health = sim.TransformsVerified, sim.Health().Summarize()
+	return rep, nil
 }
 
 func (s *System) balancerPlacement(trace *Trace, nodes int) map[string][]int {
@@ -461,7 +440,12 @@ func (s *System) balancerPlacement(trace *Trace, nodes int) map[string][]int {
 
 // Report summarizes a system run.
 type Report struct {
-	*metrics.Collector
+	// Metrics is the run's mergeable summary: exact counts, means, kind and
+	// fault tallies, plus sketched percentiles (within 2^-5 relative error).
+	Metrics *metrics.Summary
+	// Records holds every per-request record, or is nil unless
+	// SystemConfig.KeepRecords was set.
+	Records *metrics.Collector
 	// Policy is the container-management policy that produced the report.
 	Policy string
 	// Verified counts transformation plans executed through the
@@ -470,84 +454,25 @@ type Report struct {
 	// Health aggregates the run's node-health episodes and MTTR (zero when
 	// health tracking is disabled).
 	Health HealthSummary
-}
-
-// StreamReport summarizes a streaming replay (RunStream or RunWindowed):
-// aggregates only, no per-request records.
-type StreamReport struct {
-	// Metrics is the mergeable run summary: exact counts, means, kind and
-	// fault tallies, plus sketched percentiles.
-	Metrics *metrics.Summary
-	// Policy is the container-management policy that produced the report.
-	Policy string
-	// Verified counts transformation plans executed through the
-	// meta-operator engine (only with SystemConfig.VerifyTransforms).
-	Verified int
-	// Windowing describes how RunWindowed parallelized the replay (zero for
-	// RunStream).
+	// Windowing describes how a windowed replay (SystemConfig.ReplayWindows)
+	// parallelized; zero for a serial replay.
 	Windowing simulate.WindowReport
 }
 
-// Summary renders a human-readable digest of the streaming run.
-func (r *StreamReport) Summary() string {
-	fr := r.Metrics.KindFractions()
+// Summary renders a human-readable digest of the run.
+func (r *Report) Summary() string {
+	m := r.Metrics
+	fr := m.KindFractions()
 	return fmt.Sprintf(
 		"%d requests: mean %v, p50 %v, p99 %v | warm %.1f%%, transform %.1f%%, cold %.1f%%",
-		r.Metrics.Count(), r.Metrics.MeanLatency(), r.Metrics.Percentile(50), r.Metrics.Percentile(99),
+		m.Count(), m.MeanLatency(), m.Percentile(50), m.Percentile(99),
 		100*fr[metrics.StartWarm], 100*fr[metrics.StartTransform], 100*fr[metrics.StartCold])
-}
-
-// FaultSummary renders the run's failure/recovery tallies, or "" when no
-// fault was injected.
-func (r *StreamReport) FaultSummary() string {
-	f := r.Metrics.Faults
-	if !f.Any() {
-		return ""
-	}
-	return fmt.Sprintf(
-		"faults: %d transform fallbacks, %d load retries, %d crashes, %d outages | %d retries, %d dropped",
-		f.TransformFallbacks, f.LoadRetries, f.Crashes, f.Outages, f.Retries, f.Dropped)
-}
-
-// WindowSummary renders how the windowed replay parallelized, or "" for a
-// plain streaming run.
-func (r *StreamReport) WindowSummary() string {
-	w := r.Windowing
-	if w.Workers == 0 {
-		return ""
-	}
-	if !w.Windowed() {
-		return fmt.Sprintf("windows: serial fallback (%s)", w.SerialReason)
-	}
-	return fmt.Sprintf("windows: %d replayed, %d parallel (max %d partitions), %d conflict-serial, %d workers",
-		w.Windows, w.ParallelWindows, w.MaxGroups, w.ConflictWindows, w.Workers)
-}
-
-// FanoutSummary renders the run's fan-out tree tallies, or "" when no tree
-// triggered.
-func (r *Report) FanoutSummary() string {
-	f := r.Fanout
-	if !f.Any() {
-		return ""
-	}
-	out := fmt.Sprintf(
-		"fanout: %d trees (%d completed), %d replicas in %d waves, warm in %v",
-		f.Trees, f.TreesCompleted, f.Recipients, f.Waves, f.TimeToWarm)
-	if f.DonorCrashes > 0 || f.Reparents > 0 || f.CorruptOutputs > 0 {
-		out += fmt.Sprintf(" | %d donor crashes (%d re-parents), %d corrupt (%d quarantined)",
-			f.DonorCrashes, f.Reparents, f.CorruptOutputs, f.Quarantined)
-	}
-	if f.WaveCancels > 0 || f.LoadFallbacks > 0 {
-		out += fmt.Sprintf(" | %d wave cancels, %d fallback loads",
-			f.WaveCancels, f.LoadFallbacks)
-	}
-	return out
 }
 
 // FaultSummary renders the run's failure/recovery tallies, or "" when no
 // fault was injected (so zero-rate runs print nothing new).
 func (r *Report) FaultSummary() string {
-	f := r.Faults
+	f := r.Metrics.Faults
 	if !f.Any() {
 		return ""
 	}
@@ -573,13 +498,39 @@ func (r *Report) FaultSummary() string {
 	return out
 }
 
-// Summary renders a human-readable digest of the run.
-func (r *Report) Summary() string {
-	fr := r.KindFractions()
-	return fmt.Sprintf(
-		"%d requests: mean %v, p50 %v, p99 %v | warm %.1f%%, transform %.1f%%, cold %.1f%%",
-		r.Len(), r.MeanLatency(), r.Percentile(50), r.Percentile(99),
-		100*fr[metrics.StartWarm], 100*fr[metrics.StartTransform], 100*fr[metrics.StartCold])
+// FanoutSummary renders the run's fan-out tree tallies, or "" when no tree
+// triggered.
+func (r *Report) FanoutSummary() string {
+	f := r.Metrics.Fanout
+	if !f.Any() {
+		return ""
+	}
+	out := fmt.Sprintf(
+		"fanout: %d trees (%d completed), %d replicas in %d waves, warm in %v",
+		f.Trees, f.TreesCompleted, f.Recipients, f.Waves, f.TimeToWarm)
+	if f.DonorCrashes > 0 || f.Reparents > 0 || f.CorruptOutputs > 0 {
+		out += fmt.Sprintf(" | %d donor crashes (%d re-parents), %d corrupt (%d quarantined)",
+			f.DonorCrashes, f.Reparents, f.CorruptOutputs, f.Quarantined)
+	}
+	if f.WaveCancels > 0 || f.LoadFallbacks > 0 {
+		out += fmt.Sprintf(" | %d wave cancels, %d fallback loads",
+			f.WaveCancels, f.LoadFallbacks)
+	}
+	return out
+}
+
+// WindowSummary renders how a windowed replay parallelized, or "" for a
+// serial replay.
+func (r *Report) WindowSummary() string {
+	w := r.Windowing
+	if w.Workers == 0 {
+		return ""
+	}
+	if !w.Windowed() {
+		return fmt.Sprintf("windows: serial fallback (%s)", w.SerialReason)
+	}
+	return fmt.Sprintf("windows: %d replayed, %d parallel (max %d partitions), %d conflict-serial, %d workers",
+		w.Windows, w.ParallelWindows, w.MaxGroups, w.ConflictWindows, w.Workers)
 }
 
 // ---------------------------------------------------------------- Workloads

@@ -64,8 +64,8 @@ func TestSystemEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Len() != tr.Len() {
-		t.Fatalf("served %d of %d", rep.Len(), tr.Len())
+	if rep.Metrics.Count() != tr.Len() {
+		t.Fatalf("served %d of %d", rep.Metrics.Count(), tr.Len())
 	}
 	if rep.Verified == 0 {
 		t.Error("no transformations verified")
@@ -75,21 +75,26 @@ func TestSystemEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSystemRunWindowedUsesGOMAXPROCS: the facade's windowed replay runs
-// on GOMAXPROCS workers, parallelizes a partitioned placement (hash
-// placement pins each function to one node) and matches RunStream exactly.
+// TestSystemRunWindowedUsesGOMAXPROCS: the facade's windowed replay
+// (SystemConfig.ReplayWindows) runs on GOMAXPROCS workers, parallelizes a
+// partitioned placement (hash placement pins each function to one node) and
+// matches the serial replay exactly.
 func TestSystemRunWindowedUsesGOMAXPROCS(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // one worker means serial fallback
 	}
 	img := Imgclsmob()
-	sys := NewSystem(SystemConfig{Nodes: 4, ContainersPerNode: 2, Policy: PolicyOptimus})
-	for _, n := range []string{"resnet18-imagenet", "resnet34-imagenet", "resnet50-imagenet",
-		"vgg11-imagenet", "vgg16-imagenet", "densenet121-imagenet"} {
-		sys.MustRegister(n, img.MustGet(n))
+	build := func(windows int) *System {
+		sys := NewSystem(SystemConfig{Nodes: 4, ContainersPerNode: 2, Policy: PolicyOptimus, ReplayWindows: windows})
+		for _, n := range []string{"resnet18-imagenet", "resnet34-imagenet", "resnet50-imagenet",
+			"vgg11-imagenet", "vgg16-imagenet", "densenet121-imagenet"} {
+			sys.MustRegister(n, img.MustGet(n))
+		}
+		return sys
 	}
+	sys := build(16)
 	tr := MixedPoissonTrace(sys.Functions(), 6*time.Hour, 5)
-	win, err := sys.RunWindowed(tr, 16)
+	win, err := sys.Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +108,72 @@ func TestSystemRunWindowedUsesGOMAXPROCS(t *testing.T) {
 	if w.ParallelWindows == 0 {
 		t.Errorf("no window parallelized on a partitioned placement: %+v", w)
 	}
-	serial, err := sys.RunStream(tr)
+	serial, err := build(0).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *win.Metrics != *serial.Metrics {
-		t.Errorf("windowed summary != streaming summary:\n%s\n%s", win.Summary(), serial.Summary())
+		t.Errorf("windowed summary != serial summary:\n%s\n%s", win.Summary(), serial.Summary())
+	}
+}
+
+// TestSystemKeepRecordsMatchesDefault: keeping records changes what a
+// report retains, not what it says. On a faulted fixture (hang + watchdog,
+// gray slow windows, health tracking, fan-out trees) the default
+// constant-memory report and the KeepRecords report carry equal summaries
+// and render identical fault and fan-out lines, and the kept records count
+// every request. KeepRecords with ReplayWindows is rejected.
+func TestSystemKeepRecordsMatchesDefault(t *testing.T) {
+	img := Imgclsmob()
+	names := []string{"resnet18-imagenet", "resnet34-imagenet", "resnet50-imagenet", "resnet101-imagenet",
+		"vgg11-imagenet", "vgg13-imagenet", "vgg16-imagenet", "densenet121-imagenet"}
+	run := func(keep bool) *Report {
+		sys := NewSystem(SystemConfig{
+			Nodes: 2, ContainersPerNode: 3, Policy: PolicyOptimus, Seed: 3,
+			Faults:         FaultRates{Hang: 0.3, Slow: 0.02},
+			WatchdogFactor: 2,
+			Health:         HealthConfig{Enabled: true},
+			Fanout:         FanoutConfig{Enabled: true, Threshold: 2},
+			KeepRecords:    keep,
+		})
+		for _, n := range names {
+			sys.MustRegister(n, img.MustGet(n))
+		}
+		tr := PoissonTrace(names, 0.2, 2*time.Hour, 9)
+		rep, err := sys.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	lean, kept := run(false), run(true)
+	if lean.Records != nil {
+		t.Error("default report retained records")
+	}
+	if *lean.Metrics != *kept.Metrics {
+		t.Errorf("summaries differ:\n%s\n%s", lean.Summary(), kept.Summary())
+	}
+	for _, c := range []struct{ name, lean, kept string }{
+		{"FaultSummary", lean.FaultSummary(), kept.FaultSummary()},
+		{"FanoutSummary", lean.FanoutSummary(), kept.FanoutSummary()},
+	} {
+		if c.lean == "" || c.lean != c.kept {
+			t.Errorf("%s: default %q, KeepRecords %q", c.name, c.lean, c.kept)
+		}
+	}
+	for _, part := range []string{"watchdog-cancelled", "gray:", "health:"} {
+		if !strings.Contains(kept.FaultSummary(), part) {
+			t.Errorf("fault summary lacks %q: %s", part, kept.FaultSummary())
+		}
+	}
+	if kept.Records.Len() != kept.Metrics.Count() {
+		t.Errorf("Records.Len() = %d, Metrics.Count() = %d", kept.Records.Len(), kept.Metrics.Count())
+	}
+
+	both := NewSystem(SystemConfig{KeepRecords: true, ReplayWindows: 4})
+	both.MustRegister(names[0], img.MustGet(names[0]))
+	if _, err := both.Run(PoissonTrace(names[:1], 1, time.Hour, 1)); err == nil {
+		t.Error("KeepRecords with ReplayWindows accepted")
 	}
 }
 
@@ -126,7 +191,7 @@ func TestSystemPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		means[p] = rep.MeanLatency()
+		means[p] = rep.Metrics.MeanLatency()
 	}
 	if means[PolicyOptimus] >= means[PolicyOpenWhisk] {
 		t.Errorf("optimus (%v) should beat openwhisk (%v)", means[PolicyOptimus], means[PolicyOpenWhisk])
@@ -163,7 +228,7 @@ func TestSystemWithBalancer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Len() != tr.Len() {
+	if rep.Metrics.Count() != tr.Len() {
 		t.Fatal("balancer run dropped requests")
 	}
 }
