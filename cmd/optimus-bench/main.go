@@ -7,7 +7,9 @@
 //
 // Experiments: fig2 fig3 fig4 fig5a fig5c fig8 fig11 fig12 fig13 fig14
 // fig15 fig16 table1, plus the ablations: ablation-planner,
-// ablation-safeguard, ablation-cache, ablation-balancer, ablation-idle.
+// ablation-safeguard, ablation-cache, ablation-balancer, ablation-idle, and
+// the baselines: scale, soak, recovery, fanout, gateway. Results print as
+// tables, or as JSON with -json; nothing is written to disk.
 package main
 
 import (
@@ -33,8 +35,6 @@ func main() {
 		horizon = flag.Duration("horizon", 24*time.Hour, "workload horizon for the end-to-end experiments")
 		pairs   = flag.Int("pairs", 500, "random pairs for fig12")
 		chaosRt = flag.String("chaos-rates", "", "comma-separated fault rates for the chaos/recovery sweeps (defaults per experiment)")
-		outDir  = flag.String("out", ".", "directory for the bench experiment's BENCH_*.json artifacts")
-		planWrk = flag.Int("plan-workers", 0, "parallel planning workers for the bench experiment (0 = GOMAXPROCS)")
 		scaleN  = flag.Int("scale-requests", 0, "trace size for the scale experiment (0 = 1M, or 50k with -quick)")
 		stream  = flag.Bool("stream", false, "add the constant-memory streaming section to the scale experiment")
 		streamN = flag.Int("stream-requests", 0, "streaming replay size for scale -stream (0 = 10M, or 500k with -quick)")
@@ -68,12 +68,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: optimus-bench [flags] <experiment>... | all")
 		fmt.Fprintln(os.Stderr, "experiments: fig2 fig3 fig4 fig5a fig5c fig8 fig11 fig12 fig13 fig14 fig15 fig16 table1")
 		fmt.Fprintln(os.Stderr, "ablations:   ablation-planner ablation-safeguard ablation-cache ablation-balancer ablation-idle ablation-online ablation-alloc sweep-nodes sweep-load chaos recovery")
-		fmt.Fprintln(os.Stderr, "baselines:   bench (emits BENCH_planner.json + BENCH_sim.json into -out)")
-		fmt.Fprintln(os.Stderr, "             scale (replays one trace serial/indexed/windowed; emits BENCH_sim_scale.json into -out)")
-		fmt.Fprintln(os.Stderr, "             soak (chaos soak, baseline vs resilient; emits BENCH_soak.json into -out)")
-		fmt.Fprintln(os.Stderr, "             fanout (burst fan-out trees vs independent transforms; emits BENCH_fanout.json into -out)")
-		fmt.Fprintln(os.Stderr, "             gateway (multi-gateway scaling + shared-vs-isolated plan cache; emits BENCH_gateway.json into -out)")
-		fmt.Fprintln(os.Stderr, "             recovery also emits BENCH_recovery.json into -out")
+		fmt.Fprintln(os.Stderr, "baselines:   scale (replays one trace serial/indexed/windowed; -stream adds the streaming section)")
+		fmt.Fprintln(os.Stderr, "             soak (chaos soak, baseline vs resilient)")
+		fmt.Fprintln(os.Stderr, "             fanout (burst fan-out trees vs independent transforms)")
+		fmt.Fprintln(os.Stderr, "             gateway (multi-gateway scaling + shared-vs-isolated plan cache)")
+		fmt.Fprintln(os.Stderr, "-json prints any experiment's result as machine-readable JSON")
 		os.Exit(2)
 	}
 
@@ -177,48 +176,21 @@ func main() {
 			out, result = r.Render(), r
 		case "recovery":
 			r := experiments.Recovery(o, sweepRates, *horizon)
-			if err := r.WriteFile(*outDir); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
 			out, result = r.Render(), r
 		case "fanout":
 			r := experiments.Fanout(o, fo.Config())
-			if err := r.WriteFile(*outDir); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
 			out, result = r.Render(), r
 		case "gateway":
 			r := experiments.Gateway(o)
-			if err := r.WriteFile(*outDir); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
 			out, result = r.Render(), r
 		case "soak":
 			r := experiments.Soak(o, *horizon)
-			if err := r.WriteFile(*outDir); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			out, result = r.Render(), r
-		case "bench":
-			r := experiments.Bench(o, setup, *planWrk)
-			if err := r.WriteFiles(*outDir); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
 			out, result = r.Render(), r
 		case "scale":
 			r := experiments.Scale(o, *scaleN, 0, *windows)
 			if *stream {
 				s := experiments.StreamScale(o, *streamN, 0, *windows)
 				r.Stream = &s
-			}
-			if err := r.WriteFile(*outDir); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
 			}
 			out, result = r.Render(), r
 		default:

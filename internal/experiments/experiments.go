@@ -49,8 +49,10 @@ func table(header []string, rows [][]string) string {
 }
 
 func ms(d time.Duration) string {
-	return fmt.Sprintf("%.1f", float64(d)/float64(time.Millisecond))
+	return fmt.Sprintf("%.1f", msF(d))
 }
+
+func msF(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func secs(d time.Duration) string {
 	return fmt.Sprintf("%.3f", d.Seconds())

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -12,6 +13,25 @@ import (
 )
 
 func quick() Options { return Options{Quick: true} }
+
+// requireKeys fails unless v's JSON encoding (what `optimus-bench -json`
+// emits as the result) carries every key at its top level.
+func requireKeys(t *testing.T, v any, keys ...string) {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if _, ok := m[k]; !ok {
+			t.Errorf("%T result missing key %q", v, k)
+		}
+	}
+}
 
 func TestFig2Shape(t *testing.T) {
 	r := Fig2(quick())

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/fanout"
@@ -16,10 +14,6 @@ import (
 	"repro/internal/supervisor"
 	"repro/internal/workload"
 )
-
-// BenchFanoutFile is the artifact `optimus-bench fanout` emits; `make check`
-// (the fanoutguard gate) and CI validate its contents.
-const BenchFanoutFile = "BENCH_fanout.json"
 
 // Fanout experiment: a placement-pinned function absorbs a request burst by
 // growing a transform fan-out tree into the cluster's free capacity. Four
@@ -57,7 +51,7 @@ type FanoutRun struct {
 	Faults       metrics.FaultStats  `json:"faults"`
 }
 
-// FanoutResult is the persisted artifact: the zero-fault and donor-crash
+// FanoutResult is the experiment's result: the zero-fault and donor-crash
 // pairs plus the determinism proof.
 type FanoutResult struct {
 	Seed       int64        `json:"seed"`
@@ -170,22 +164,6 @@ func Fanout(o Options, fc fanout.Config) FanoutResult {
 	}
 	res.Deterministic = bytes.Equal(a, b)
 	return res
-}
-
-// WriteFile persists the artifact into dir, creating it if needed.
-func (r FanoutResult) WriteFile(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("fanout: creating %s: %w", dir, err)
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, BenchFanoutFile)
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("fanout: writing %s: %w", path, err)
-	}
-	return nil
 }
 
 // Render prints the four-run digest.

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -15,10 +13,6 @@ import (
 	"repro/internal/ring"
 	"repro/internal/simulate"
 )
-
-// BenchGatewayFile is the artifact `optimus-bench gateway` emits; `make
-// check` (the gatewayguard gate) and CI validate its contents.
-const BenchGatewayFile = "BENCH_gateway.json"
 
 // Gateway experiment: the multi-gateway control plane under a fixed offered
 // load. Two sections:
@@ -82,7 +76,8 @@ type GatewayCacheRun struct {
 	DrainedAt int `json:"drained_at"`
 }
 
-// GatewayResult is the persisted artifact.
+// GatewayResult is the experiment's result: the scaling sweep and the
+// cache contrast plus the determinism proof.
 type GatewayResult struct {
 	Seed     int64 `json:"seed"`
 	VNodes   int   `json:"vnodes"`
@@ -314,22 +309,6 @@ func Gateway(o Options) GatewayResult {
 	}
 	res.Deterministic = bytes.Equal(first, second)
 	return res
-}
-
-// WriteFile persists the artifact into dir, creating it if needed.
-func (r GatewayResult) WriteFile(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("gateway: creating %s: %w", dir, err)
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, BenchGatewayFile)
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("gateway: writing %s: %w", path, err)
-	}
-	return nil
 }
 
 // Render prints the sweep and cache-contrast digests.

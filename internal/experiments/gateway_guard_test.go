@@ -1,17 +1,12 @@
 package experiments
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
-// checkGatewayGates asserts the acceptance gates on a result, from a live
-// run (smoke) or the checked-in artifact (guard): (a) ≥2× aggregate
-// simulated throughput at 4 gateways versus 1, (b) the shared plan cache's
-// hit ratio at or above the isolated baseline's with no more pairs planned,
-// and (c) the double-run byte-identity proof.
+// checkGatewayGates asserts the acceptance gates on a result, at quick
+// (smoke) or full (guard) scale: (a) ≥2× aggregate simulated throughput at 4
+// gateways versus 1, (b) the shared plan cache's hit ratio at or above the
+// isolated baseline's with no more pairs planned, and (c) the double-run
+// byte-identity proof.
 func checkGatewayGates(t *testing.T, res GatewayResult, label string) {
 	t.Helper()
 	if !res.Deterministic {
@@ -66,26 +61,10 @@ func TestGatewaySmoke(t *testing.T) {
 	checkGatewayGates(t, res, "smoke")
 }
 
-// TestGatewayArtifactGuard validates the checked-in BENCH_gateway.json
-// against the acceptance gates — the `make gatewayguard` bar.
+// TestGatewayArtifactGuard runs the experiment at full scale (seed 1) and
+// checks the required keys and the acceptance gates.
 func TestGatewayArtifactGuard(t *testing.T) {
-	path := filepath.Join("..", "..", BenchGatewayFile)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing artifact %s (run `make bench-gateway`): %v", BenchGatewayFile, err)
-	}
-	var keys map[string]any
-	if err := json.Unmarshal(data, &keys); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	for _, k := range []string{"seed", "vnodes", "models", "requests", "scale", "scale_x4", "shared", "isolated", "deterministic"} {
-		if _, ok := keys[k]; !ok {
-			t.Errorf("artifact missing key %q", k)
-		}
-	}
-	var res GatewayResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatal(err)
-	}
-	checkGatewayGates(t, res, "artifact")
+	res := Gateway(Options{Seed: 1})
+	requireKeys(t, res, "seed", "vnodes", "models", "requests", "scale", "scale_x4", "shared", "isolated", "deterministic")
+	checkGatewayGates(t, res, "full")
 }

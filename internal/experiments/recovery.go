@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/faults"
@@ -25,10 +22,6 @@ import (
 // failures, and routes around quarantined nodes with backoff and hedging.
 // Both configurations track node health (the base one in observe-only mode)
 // so MTTR is measured for each. Deterministic given the seed.
-
-// BenchRecoveryFile is the artifact `optimus-bench recovery` emits;
-// `make check` and CI validate its contents.
-const BenchRecoveryFile = "BENCH_recovery.json"
 
 // RecoveryPoint is one fault-intensity measurement for one configuration.
 type RecoveryPoint struct {
@@ -155,22 +148,6 @@ func postRestoreHit(recs []metrics.Record, horizon time.Duration) float64 {
 		return 0
 	}
 	return float64(hits) / float64(served)
-}
-
-// WriteFile persists the artifact into dir, creating it if needed.
-func (r RecoveryResult) WriteFile(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("recovery: creating %s: %w", dir, err)
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, BenchRecoveryFile)
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("recovery: writing %s: %w", path, err)
-	}
-	return nil
 }
 
 // Render prints the paired degradation curves.

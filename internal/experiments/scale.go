@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -14,10 +11,6 @@ import (
 	"repro/internal/simulate"
 	"repro/internal/workload"
 )
-
-// BenchScaleFile is the artifact `optimus-bench scale` emits; `make check`
-// and CI validate its contents.
-const BenchScaleFile = "BENCH_sim_scale.json"
 
 // ScaleBench is the simulator hot-path scaling benchmark: one synthetic
 // million-request trace on a cluster of disjoint node groups replayed three
@@ -252,22 +245,6 @@ func Scale(o Options, requests, groups, windows int) ScaleBench {
 	}
 	res.WindowedMatchesSerial = report.Windowed() && *win == serialSum
 	return res
-}
-
-// WriteFile persists the artifact into dir, creating it if needed.
-func (r ScaleBench) WriteFile(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("scale: creating %s: %w", dir, err)
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, BenchScaleFile)
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("scale: writing %s: %w", path, err)
-	}
-	return nil
 }
 
 // Render prints the benchmark digest.

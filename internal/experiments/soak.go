@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/faults"
@@ -16,10 +14,6 @@ import (
 	"repro/internal/supervisor"
 	"repro/internal/workload"
 )
-
-// BenchSoakFile is the artifact `optimus-bench soak` emits; `make check` and
-// CI validate its contents.
-const BenchSoakFile = "BENCH_soak.json"
 
 // Soak experiment: a fixed-seed chaos soak mixing hard faults (crashes,
 // hangs) with gray ones (slow nodes, flaky donors, degraded bandwidth), run
@@ -215,22 +209,6 @@ func Soak(o Options, horizon time.Duration) SoakResult {
 	}
 	res.Deterministic = bytes.Equal(a, b)
 	return res
-}
-
-// WriteFile persists the artifact into dir, creating it if needed.
-func (r SoakResult) WriteFile(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("soak: creating %s: %w", dir, err)
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, BenchSoakFile)
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("soak: writing %s: %w", path, err)
-	}
-	return nil
 }
 
 // Render prints the paired soak digests.

@@ -2,9 +2,8 @@ package experiments
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
+	"time"
 )
 
 // TestSoakSmoke runs the chaos soak at the quick horizon and checks the
@@ -54,31 +53,15 @@ func TestSoakRunsAreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSoakArtifactGuard validates the checked-in BENCH_soak.json: required
-// keys present, the determinism proof passed at generation time, and the
-// resilient mode recovered at least the baseline's hit ratio without losing
-// availability.
+// TestSoakArtifactGuard runs the soak at full scale (a day, seed 1) and
+// checks its bars: required keys present, the determinism proof passed, and
+// the resilient mode recovered at least the baseline's hit ratio without
+// losing availability.
 func TestSoakArtifactGuard(t *testing.T) {
-	path := filepath.Join("..", "..", BenchSoakFile)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing artifact %s (run `make bench-soak`): %v", BenchSoakFile, err)
-	}
-	var keys map[string]any
-	if err := json.Unmarshal(data, &keys); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	for _, k := range []string{"seed", "horizon_ms", "rates", "baseline", "resilient", "deterministic"} {
-		if _, ok := keys[k]; !ok {
-			t.Errorf("artifact missing key %q", k)
-		}
-	}
-	var res SoakResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatal(err)
-	}
+	res := Soak(Options{Seed: 1}, 24*time.Hour)
+	requireKeys(t, res, "seed", "horizon_ms", "rates", "baseline", "resilient", "deterministic")
 	if !res.Deterministic {
-		t.Error("artifact records a nondeterministic soak")
+		t.Error("second same-seed resilient run diverged")
 	}
 	for _, run := range []SoakRun{res.Baseline, res.Resilient} {
 		if run.Arrivals == 0 || run.Served == 0 {
@@ -92,37 +75,30 @@ func TestSoakArtifactGuard(t *testing.T) {
 		}
 	}
 	if res.Resilient.HitRatio < res.Baseline.HitRatio {
-		t.Errorf("artifact resilient hit ratio %.4f below baseline %.4f",
+		t.Errorf("resilient hit ratio %.4f below baseline %.4f",
 			res.Resilient.HitRatio, res.Baseline.HitRatio)
 	}
 	if res.Resilient.Availability < res.Baseline.Availability {
-		t.Errorf("artifact resilient availability %.4f below baseline %.4f",
+		t.Errorf("resilient availability %.4f below baseline %.4f",
 			res.Resilient.Availability, res.Baseline.Availability)
 	}
 	if res.Resilient.MTTRMS <= 0 || res.Resilient.Episodes == 0 {
-		t.Error("artifact resilient run measured no recovery episodes")
+		t.Error("resilient run measured no recovery episodes")
 	}
 	if res.Resilient.Faults.HedgedTransforms == 0 || res.Resilient.Faults.BackoffRetries == 0 {
-		t.Error("artifact resilient run never exercised hedging/backoff")
+		t.Error("resilient run never exercised hedging/backoff")
 	}
 }
 
-// TestRecoveryArtifactGuard validates the checked-in BENCH_recovery.json:
-// base and supervised rows per rate, post-restore hit ratio and MTTR
-// recorded, and at the top fault rate the supervised configuration must beat
-// the base one on both mean latency and MTTR.
+// TestRecoveryArtifactGuard runs the supervision sweep at full scale (a
+// day, seed 1, the default rates) and checks its bars: base and supervised
+// rows per rate, post-restore hit ratio and MTTR recorded, and at the top
+// fault rate the supervised configuration must beat the base one on both
+// mean latency and MTTR.
 func TestRecoveryArtifactGuard(t *testing.T) {
-	path := filepath.Join("..", "..", BenchRecoveryFile)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing artifact %s (run `make bench-recovery`): %v", BenchRecoveryFile, err)
-	}
-	var res RecoveryResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
+	res := Recovery(Options{Seed: 1}, nil, 24*time.Hour)
 	if len(res.Points) < 4 || len(res.Points)%2 != 0 {
-		t.Fatalf("artifact has %d points, want base+supervised pairs", len(res.Points))
+		t.Fatalf("sweep has %d points, want base+supervised pairs", len(res.Points))
 	}
 	for i, p := range res.Points {
 		if want := i%2 == 1; p.Supervised != want {
@@ -140,7 +116,7 @@ func TestRecoveryArtifactGuard(t *testing.T) {
 		t.Fatalf("last pair rates differ: %v vs %v", base.Rate, sup.Rate)
 	}
 	if base.Rate == 0 {
-		t.Fatal("artifact never injected faults")
+		t.Fatal("sweep never injected faults")
 	}
 	if sup.Mean >= base.Mean {
 		t.Errorf("supervised mean %v not below base %v at rate %v", sup.Mean, base.Mean, sup.Rate)

@@ -495,7 +495,7 @@ func SummarizeDurations(ds []time.Duration) DurationStats {
 // DurationPercentile returns the p-th percentile (p in [0,100], nearest-rank)
 // of the sample; the input slice is not modified. Zero for an empty sample.
 // Collector.Percentile and the planning-time telemetry share this definition
-// so /api/stats and BENCH_*.json percentiles are directly comparable.
+// so /api/stats and optimus-bench -json percentiles are directly comparable.
 func DurationPercentile(ds []time.Duration, p float64) time.Duration {
 	if len(ds) == 0 {
 		return 0

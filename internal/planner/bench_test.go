@@ -39,3 +39,19 @@ func BenchmarkBuildMatrix(b *testing.B) {
 		}
 	}
 }
+
+// benchPrecompute warms every ordered pair of the §8.1 catalog through the
+// offline-planning pipeline with the given worker count (0 = GOMAXPROCS).
+func benchPrecompute(b *testing.B, workers int) {
+	models := catalogZoo()
+	pl := New(cost.Exact(cost.CPU()), AlgoGroup)
+	pairs := len(models) * (len(models) - 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewPrecomputer(pl, NewCache(), workers).PrecomputeAll(models)
+	}
+	b.ReportMetric(float64(pairs), "pairs/op")
+}
+
+func BenchmarkPrecomputeSerial(b *testing.B)   { benchPrecompute(b, 1) }
+func BenchmarkPrecomputeParallel(b *testing.B) { benchPrecompute(b, 0) }

@@ -3,8 +3,10 @@ package planner
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/zoo"
@@ -32,25 +34,59 @@ func tinyZoo() []*model.Graph {
 	}
 }
 
+// catalogZoo is the quick §8.1 function mix (the experiments package's
+// DefaultFunctionSet with quick set): eight ImageNet CNNs and two BERTs.
+func catalogZoo() []*model.Graph {
+	img, bert := zoo.Imgclsmob(), zoo.BERTZoo()
+	var out []*model.Graph
+	for _, n := range []string{
+		"resnet18-imagenet", "resnet34-imagenet", "resnet50-imagenet", "resnet101-imagenet",
+		"vgg11-imagenet", "vgg16-imagenet", "vgg19-imagenet", "densenet121-imagenet",
+	} {
+		out = append(out, img.MustGet(n))
+	}
+	return append(out, bert.MustGet("bert-tiny"), bert.MustGet("bert-mini"))
+}
+
 // TestParallelPrecomputeMatchesSerial is the determinism property test: the
 // parallel pipeline must produce byte-identical plans (JSON covers step
 // order, costs and the safeguard decision) to direct serial planning, for
-// every ordered pair and every planning algorithm.
+// every ordered pair and every planning algorithm, planning each pair
+// exactly once. On the §8.1 catalog, with at least four cores, the parallel
+// warm-up must also not be slower than a one-worker one.
 func TestParallelPrecomputeMatchesSerial(t *testing.T) {
 	cases := []struct {
+		name   string
 		algo   Algorithm
 		models []*model.Graph
+		timed  bool
 	}{
-		{AlgoGroup, propZoo(8, 10)},
-		{AlgoHungarian, propZoo(8, 10)},
-		{AlgoBrute, tinyZoo()}, // brute needs tiny matrices
+		{"group", AlgoGroup, propZoo(8, 10), false},
+		{"hungarian", AlgoHungarian, propZoo(8, 10), false},
+		{"brute", AlgoBrute, tinyZoo(), false}, // brute needs tiny matrices
+		{"catalog", AlgoGroup, catalogZoo(), true},
 	}
 	for _, tc := range cases {
-		t.Run(tc.algo.String(), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			pl := New(exact(), tc.algo)
+			t0 := time.Now()
+			NewPrecomputer(pl, NewCache(), 1).PrecomputeAll(tc.models)
+			serialTook := time.Since(t0)
 			parallel := NewCache()
+			t1 := time.Now()
 			NewPrecomputer(pl, parallel, 8).PrecomputeAll(tc.models)
+			parallelTook := time.Since(t1)
 
+			if pairs := len(tc.models) * (len(tc.models) - 1); parallel.Counters().Planned != pairs {
+				t.Errorf("parallel precompute planned %d of %d pairs (duplicates or losses)",
+					parallel.Counters().Planned, pairs)
+			}
+			// The speed bar only holds where there is parallel hardware: on
+			// fewer cores the pool degenerates to serial plus overhead.
+			if tc.timed && runtime.NumCPU() >= 4 && parallelTook > serialTook {
+				t.Errorf("parallel precompute slower than serial on %d cores: %v vs %v",
+					runtime.NumCPU(), parallelTook, serialTook)
+			}
 			for i, src := range tc.models {
 				for j, dst := range tc.models {
 					if i == j {

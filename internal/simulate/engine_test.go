@@ -327,20 +327,29 @@ func TestColdStartRatios(t *testing.T) {
 	}
 }
 
+// TestDeterminism replays one seeded trace twice under the Optimus policy:
+// the summaries (request count, latency sketch and percentiles, start-kind
+// counts) and the plan cache's hit/miss counts must be identical.
 func TestDeterminism(t *testing.T) {
 	names := []string{"resnet18-imagenet", "resnet50-imagenet", "vgg16-imagenet"}
 	fns := testFunctions(t, names...)
 	tr := workload.MixedPoisson(names, 6*time.Hour, 5)
-	run := func() time.Duration {
+	type outcome struct {
+		sum          metrics.Summary
+		hits, misses int
+	}
+	run := func() outcome {
 		sim := simulate.New(simulate.Config{Policy: policy.Optimus{}}, fns)
 		col, err := sim.Run(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return col.MeanLatency()
+		hits, misses := sim.Env().Plans.Stats()
+		return outcome{*metrics.SummaryOf(col), hits, misses}
 	}
-	if run() != run() {
-		t.Error("simulation not deterministic")
+	if a, b := run(), run(); a != b {
+		t.Errorf("simulation not deterministic: mean %v vs %v, plan cache %d/%d vs %d/%d",
+			a.sum.MeanLatency(), b.sum.MeanLatency(), a.hits, a.misses, b.hits, b.misses)
 	}
 }
 
