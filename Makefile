@@ -48,10 +48,11 @@ microbench:
 
 # benchguard is the full-scale gate, checked on a fresh run: the 1M-request
 # scale benchmark and the 10M-request streaming replay against their bars
-# (indexed not slower than scan, the equivalence proofs, windowed
-# partitioning, streaming allocs/req and peak-heap ratio, the 256 MB
-# ceiling), then the planner's parallel-vs-serial precompute test with the
-# precompute -bench smoke. The soak, recovery, fan-out and gateway bars run
+# (the equivalence proofs, a routing cross-check replay of the 1M fixture,
+# windowed partitioning, streaming allocs/req and peak-heap ratio, the
+# 256 MB ceiling), then the planner's parallel-vs-serial precompute test
+# with the precompute -bench smoke. The indexed-faster-than-scan ratio is
+# checked by the ordinary test suite (TestIndexedRouteFasterThanScan). The soak, recovery, fan-out and gateway bars run
 # at full scale in the ordinary test suite.
 benchguard:
 	$(GO) test -run '^TestFullScale$$' -v ./internal/experiments -full-scale

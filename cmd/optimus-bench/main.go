@@ -59,16 +59,16 @@ func main() {
 		}
 	}()
 	args := flag.Args()
-	sweepRates, err := cliutil.ParseChaosRates(*chaosRt)
+	sweepRates, err := cliutil.ParseRates(*chaosRt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "bad -chaos-rates:", err)
 		os.Exit(2)
 	}
 	if len(args) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: optimus-bench [flags] <experiment>... | all")
 		fmt.Fprintln(os.Stderr, "experiments: fig2 fig3 fig4 fig5a fig5c fig8 fig11 fig12 fig13 fig14 fig15 fig16 table1")
 		fmt.Fprintln(os.Stderr, "ablations:   ablation-planner ablation-safeguard ablation-cache ablation-balancer ablation-idle ablation-online ablation-alloc sweep-nodes sweep-load chaos recovery")
-		fmt.Fprintln(os.Stderr, "baselines:   scale (replays one trace serial/indexed/windowed; -stream adds the streaming section)")
+		fmt.Fprintln(os.Stderr, "baselines:   scale (replays one trace indexed and windowed; -stream adds the streaming section)")
 		fmt.Fprintln(os.Stderr, "             soak (chaos soak, baseline vs resilient)")
 		fmt.Fprintln(os.Stderr, "             fanout (burst fan-out trees vs independent transforms)")
 		fmt.Fprintln(os.Stderr, "             gateway (multi-gateway scaling + shared-vs-isolated plan cache)")

@@ -7,7 +7,9 @@
 //	optimus-sim -policy optimus -nodes 4 -containers 4 -workload azure -horizon 24h
 //	optimus-sim -policy openwhisk -workload poisson -functions 30
 //	optimus-sim -fault-transform 0.2 -fault-crash 0.02 -seed 3
-//	optimus-sim -chaos -quick
+//
+// The chaos and supervised-recovery sweeps are `optimus-bench chaos` and
+// `optimus-bench recovery`.
 package main
 
 import (
@@ -19,8 +21,6 @@ import (
 
 	optimus "repro"
 	"repro/internal/cliutil"
-	"repro/internal/cost"
-	"repro/internal/experiments"
 )
 
 // traceFunctions lists a trace's distinct function names.
@@ -46,10 +46,6 @@ func main() {
 		brkN       = flag.Int("breaker-threshold", 0, "open a pair's circuit breaker after N consecutive transform failures (0 disables)")
 		brkCool    = flag.Duration("breaker-cooldown", 0, "open-breaker wait before a half-open probe (default 5m)")
 		maxRetries = flag.Int("max-retries", 0, "crash re-dispatch budget per request (0 = default 2, negative = none)")
-		chaos      = flag.Bool("chaos", false, "run the chaos fault-rate sweep and exit")
-		chaosRates = flag.String("chaos-rates", "", "comma-separated fault rates for -chaos (default 0,0.05,0.1,0.2,0.4)")
-		recovery   = flag.Bool("recovery", false, "run the supervised-recovery sweep (breaker/watchdog on vs off) and exit")
-		quick      = flag.Bool("quick", false, "shrink the -chaos/-recovery sweeps for fast runs")
 		perFn      = flag.Int("per-function", 0, "print per-function stats for the N slowest functions (keeps per-request records)")
 		windows    = flag.Int("replay-windows", 0, "split the replay into this many time windows replayed with optimistic parallelism (0 disables; keeps no per-request records)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -75,6 +71,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if *fnCount < 1 {
+		fmt.Fprintf(os.Stderr, "invalid deployment flags: -functions=%d (want ≥ 1)\n", *fnCount)
+		os.Exit(2)
+	}
 	if *windows < 0 {
 		fmt.Fprintf(os.Stderr, "invalid replay flags: -replay-windows=%d (want ≥ 0)\n", *windows)
 		os.Exit(2)
@@ -82,28 +82,6 @@ func main() {
 	if *perFn > 0 && *windows > 0 {
 		fmt.Fprintln(os.Stderr, "-per-function needs per-request records, which -replay-windows does not keep")
 		os.Exit(2)
-	}
-
-	if *chaos || *recovery {
-		var rates []float64
-		if *chaosRates != "" {
-			var err error
-			rates, err = cliutil.ParseChaosRates(*chaosRates)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-		}
-		o := experiments.Options{Seed: *seed, Quick: *quick}
-		if *gpu {
-			o.Profile = cost.GPU()
-		}
-		if *recovery {
-			fmt.Println(experiments.Recovery(o, rates, *horizon).Render())
-		} else {
-			fmt.Println(experiments.Chaos(o, rates, *horizon).Render())
-		}
-		return
 	}
 
 	hw := optimus.CPU

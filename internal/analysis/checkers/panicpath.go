@@ -32,10 +32,6 @@ type Panicpath struct {
 // DefaultPanicpath returns the checker with the project exemption list.
 func DefaultPanicpath() *Panicpath { return &Panicpath{Exempt: defaultPanicExempt} }
 
-// NewPanicpath returns the checker with an explicit exemption list (used by
-// fixture tests).
-func NewPanicpath(exempt []string) *Panicpath { return &Panicpath{Exempt: exempt} }
-
 // Name implements analysis.Checker.
 func (pp *Panicpath) Name() string { return "panicpath" }
 

@@ -19,9 +19,12 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/planner"
+	"repro/internal/simulate"
+	"repro/internal/workload"
 )
 
 // FunctionInfo is the balancer's view of one function.
@@ -32,34 +35,22 @@ type FunctionInfo struct {
 	Demand []float64
 }
 
-// Config parameterizes the balancer.
-type Config struct {
-	// GammaDistance (γ₁) weighs the model editing distance; GammaDemand
-	// (γ₂) weighs demand correlation. Both in [0,1]; defaults 0.7 / 0.3.
-	GammaDistance float64
-	GammaDemand   float64
-	// Seed drives the K-medoids initialization.
-	Seed int64
-	// MaxIterations bounds the PAM refinement loop (default 50).
-	MaxIterations int
-}
-
-func (c Config) withDefaults() Config {
-	if c.GammaDistance == 0 && c.GammaDemand == 0 {
-		c.GammaDistance, c.GammaDemand = 0.7, 0.3
-	}
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = 50
-	}
-	return c
-}
+// Fixed clustering parameters; DESIGN.md "Fixed parameters" gives their
+// sources.
+const (
+	// gammaDistance (γ₁) weighs the model editing distance and gammaDemand
+	// (γ₂) the demand correlation (§5.1).
+	gammaDistance = 0.7
+	gammaDemand   = 0.3
+	// maxIterations bounds the PAM refinement loop.
+	maxIterations = 50
+)
 
 // DistanceMatrix computes the pairwise function distance used for
 // clustering. Editing distances are symmetrized (the planner's costs are
 // asymmetric, §8.2) and normalized to [0,1] by the maximum observed cost;
 // correlations are mapped from [-1,1] to [0,1].
-func DistanceMatrix(pl *planner.Planner, fns []FunctionInfo, cfg Config) [][]float64 {
-	cfg = cfg.withDefaults()
+func DistanceMatrix(pl *planner.Planner, fns []FunctionInfo) [][]float64 {
 	n := len(fns)
 	edit := make([][]float64, n)
 	var maxEdit float64
@@ -90,7 +81,7 @@ func DistanceMatrix(pl *planner.Planner, fns []FunctionInfo, cfg Config) [][]flo
 			}
 			corr := metrics.Corr(fns[i].Demand, fns[j].Demand)
 			k := (corr + 1) / 2 // correlated demand → larger distance
-			dist[i][j] = cfg.GammaDistance*e + cfg.GammaDemand*k
+			dist[i][j] = gammaDistance*e + gammaDemand*k
 		}
 	}
 	return dist
@@ -113,9 +104,9 @@ type Clusters struct {
 }
 
 // KMedoids runs PAM clustering over the distance matrix into k clusters.
-// It is deterministic under cfg.Seed. k is clamped to [1, n].
-func KMedoids(dist [][]float64, k int, cfg Config) Clusters {
-	cfg = cfg.withDefaults()
+// It is deterministic under seed, which drives the initial medoids. k is
+// clamped to [1, n].
+func KMedoids(dist [][]float64, k int, seed int64) Clusters {
 	n := len(dist)
 	if k < 1 {
 		k = 1
@@ -123,7 +114,7 @@ func KMedoids(dist [][]float64, k int, cfg Config) Clusters {
 	if k > n {
 		k = n
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	medoids := rng.Perm(n)[:k]
 	sort.Ints(medoids)
 
@@ -145,7 +136,7 @@ func KMedoids(dist [][]float64, k int, cfg Config) Clusters {
 	}
 	cost := assignAll()
 
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		improved := false
 		for c := 0; c < k; c++ {
 			// Try swapping medoid c with each member of its cluster.
@@ -175,8 +166,8 @@ func KMedoids(dist [][]float64, k int, cfg Config) Clusters {
 // Placement computes the fn→nodes placement for the simulator: functions are
 // clustered into as many clusters as nodes, and each cluster is served by a
 // set of nodes sized proportionally to its demand share (at least one).
-func Placement(pl *planner.Planner, fns []FunctionInfo, nodes int, cfg Config) map[string][]int {
-	cfg = cfg.withDefaults()
+// seed drives the K-medoids initialization.
+func Placement(pl *planner.Planner, fns []FunctionInfo, nodes int, seed int64) map[string][]int {
 	if nodes < 1 {
 		nodes = 1
 	}
@@ -193,8 +184,8 @@ func Placement(pl *planner.Planner, fns []FunctionInfo, nodes int, cfg Config) m
 	if k < 1 {
 		k = 1
 	}
-	dist := DistanceMatrix(pl, fns, cfg)
-	cl := KMedoids(dist, k, cfg)
+	dist := DistanceMatrix(pl, fns)
+	cl := KMedoids(dist, k, seed)
 
 	// Cluster demand totals.
 	load := make([]float64, k)
@@ -240,6 +231,21 @@ func Placement(pl *planner.Planner, fns []FunctionInfo, nodes int, cfg Config) m
 		out[f.Name] = []int{clusterNode[cl.Assign[i]]}
 	}
 	return out
+}
+
+// TracePlacement is Placement for simulator functions whose demand series
+// come from the trace, in SlotDuration slots, with distances planned on
+// prof's exact cost model.
+func TracePlacement(prof *cost.Profile, fns []*simulate.Function, tr *workload.Trace, nodes int, seed int64) map[string][]int {
+	infos := make([]FunctionInfo, len(fns))
+	for i, f := range fns {
+		infos[i] = FunctionInfo{
+			Name:   f.Name,
+			Model:  f.Model,
+			Demand: workload.Series(tr, f.Name, SlotDuration),
+		}
+	}
+	return Placement(planner.New(cost.Exact(prof), planner.AlgoGroup), infos, nodes, seed)
 }
 
 // apportion distributes `nodes` node slots over clusters proportionally to

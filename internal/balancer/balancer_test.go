@@ -29,7 +29,7 @@ func fnInfos(t *testing.T) []FunctionInfo {
 
 func TestDistanceMatrixProperties(t *testing.T) {
 	fns := fnInfos(t)
-	d := DistanceMatrix(testPlanner(), fns, Config{})
+	d := DistanceMatrix(testPlanner(), fns)
 	n := len(fns)
 	for i := 0; i < n; i++ {
 		if d[i][i] != 0 {
@@ -53,8 +53,8 @@ func TestDistanceMatrixProperties(t *testing.T) {
 
 func TestKMedoidsClustersFamilies(t *testing.T) {
 	fns := fnInfos(t)
-	d := DistanceMatrix(testPlanner(), fns, Config{})
-	cl := KMedoids(d, 2, Config{Seed: 1})
+	d := DistanceMatrix(testPlanner(), fns)
+	cl := KMedoids(d, 2, 1)
 	if len(cl.Medoids) != 2 {
 		t.Fatalf("%d medoids", len(cl.Medoids))
 	}
@@ -72,11 +72,11 @@ func TestKMedoidsClustersFamilies(t *testing.T) {
 
 func TestKMedoidsEdgeCases(t *testing.T) {
 	d := [][]float64{{0, 1}, {1, 0}}
-	cl := KMedoids(d, 0, Config{}) // k clamped to 1
+	cl := KMedoids(d, 0, 0) // k clamped to 1
 	if len(cl.Medoids) != 1 {
 		t.Errorf("k=0 should clamp to 1, got %d medoids", len(cl.Medoids))
 	}
-	cl = KMedoids(d, 5, Config{}) // k clamped to n
+	cl = KMedoids(d, 5, 0) // k clamped to n
 	if len(cl.Medoids) != 2 {
 		t.Errorf("k>n should clamp to n, got %d", len(cl.Medoids))
 	}
@@ -89,9 +89,9 @@ func TestKMedoidsEdgeCases(t *testing.T) {
 
 func TestKMedoidsDeterministic(t *testing.T) {
 	fns := fnInfos(t)
-	d := DistanceMatrix(testPlanner(), fns, Config{})
-	a := KMedoids(d, 2, Config{Seed: 7})
-	b := KMedoids(d, 2, Config{Seed: 7})
+	d := DistanceMatrix(testPlanner(), fns)
+	a := KMedoids(d, 2, 7)
+	b := KMedoids(d, 2, 7)
 	for i := range a.Assign {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatal("same-seed clustering differs")
@@ -101,7 +101,7 @@ func TestKMedoidsDeterministic(t *testing.T) {
 
 func TestPlacement(t *testing.T) {
 	fns := fnInfos(t)
-	pl := Placement(testPlanner(), fns, 2, Config{Seed: 2})
+	pl := Placement(testPlanner(), fns, 2, 2)
 	if len(pl) != len(fns) {
 		t.Fatalf("placement covers %d of %d functions", len(pl), len(fns))
 	}
@@ -155,7 +155,7 @@ func TestPlacementFewerFunctionsThanNodes(t *testing.T) {
 	fns := []FunctionInfo{
 		{Name: "only", Model: img.MustGet("resnet18-imagenet"), Demand: []float64{1, 2}},
 	}
-	pl := Placement(testPlanner(), fns, 4, Config{})
+	pl := Placement(testPlanner(), fns, 4, 0)
 	if len(pl["only"]) == 0 {
 		t.Fatal("single function must still get nodes")
 	}

@@ -409,13 +409,3 @@ func parsePeers(s string) ([]controlplane.Peer, []string) {
 	}
 	return peers, bad
 }
-
-// ParseChaosRates parses a -chaos-rates flag value, wrapping errors with the
-// flag name so every binary reports them identically.
-func ParseChaosRates(s string) ([]float64, error) {
-	rates, err := ParseRates(s)
-	if err != nil {
-		return nil, fmt.Errorf("bad -chaos-rates: %w", err)
-	}
-	return rates, nil
-}

@@ -44,7 +44,7 @@ var ErrNoMembers = errors.New("controlplane: no live members on the ring")
 var ErrUnknownMember = errors.New("controlplane: unknown member")
 
 // DefaultReplicateThreshold is the pull count at which a plan-pair is judged
-// hot and pushed to every member's cache.
+// hot and pushed to every member's cache (DESIGN.md "Fixed parameters").
 const DefaultReplicateThreshold = 2
 
 // Config parameterizes an in-process multi-gateway cluster.
@@ -55,8 +55,6 @@ type Config struct {
 	// (member i runs at Base.Seed mixed with i, so members are distinct but
 	// the whole cluster is reproducible).
 	Seed int64
-	// VNodes is the ring's virtual-node count (0 → ring.DefaultVNodes).
-	VNodes int
 	// Base is the per-member simulated sub-cluster configuration; Seed is
 	// overridden per member.
 	Base simulate.Config
@@ -74,10 +72,6 @@ type Config struct {
 	// replication). Off, each member plans all its misses locally — the
 	// isolated baseline the benchmark contrasts against.
 	SharedCache bool
-	// ReplicateThreshold is the pull count promoting a pair to every
-	// member's cache (0 → DefaultReplicateThreshold, negative disables
-	// replication).
-	ReplicateThreshold int
 	// Health configures the member health tracker driving de-own/rejoin; the
 	// zero value disables it (members only leave via Drain).
 	Health health.Config
@@ -132,9 +126,6 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.Members <= 0 {
 		cfg.Members = 1
 	}
-	if cfg.ReplicateThreshold == 0 {
-		cfg.ReplicateThreshold = DefaultReplicateThreshold
-	}
 	now := cfg.Now
 	if now == nil {
 		// Default interactive clock, like gateway.New; benches inject
@@ -145,7 +136,7 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	cl := &Cluster{
 		cfg:        cfg,
-		ring:       ring.New(cfg.Seed, cfg.VNodes),
+		ring:       ring.New(cfg.Seed, ring.DefaultVNodes),
 		members:    make(map[string]*member),
 		catalog:    make(map[string]*model.Graph),
 		pullCounts: make(map[string]int),
@@ -232,7 +223,7 @@ func (cl *Cluster) loaderFor(m *member) func(src, dst *model.Graph) (*metaop.Pla
 		cl.mu.Lock()
 		tgt.pulls++
 		cl.pullCounts[key]++
-		replicate := cl.cfg.ReplicateThreshold > 0 && cl.pullCounts[key] == cl.cfg.ReplicateThreshold
+		replicate := cl.pullCounts[key] == DefaultReplicateThreshold
 		var targets []*member
 		if replicate {
 			cl.replications++
@@ -624,7 +615,7 @@ func Protocol() []Rule {
 	return []Rule{
 		{"invoke", "route-to-owner", "the entry member resolves the function's ring owner and forwards; the owner serves and records the request"},
 		{"plan-miss", "pull-from-owner", "a non-owner cache miss pulls the plan from the pair's ring owner in one hop (the owner side never pulls again); pulls are singleflighted per pair"},
-		{"hot-pair", "replicate", "a pair pulled ReplicateThreshold times is pushed to every member's cache, making later misses local hits"},
+		{"hot-pair", "replicate", "a pair pulled DefaultReplicateThreshold times is pushed to every member's cache, making later misses local hits"},
 		{"register", "broadcast", "models register on every non-draining member; each member precomputes only the pairs it owns on the ring"},
 		{"suspect", "deown", "a member the health tracker flags is removed from the ring but kept alive with its cache intact; requests route around it"},
 		{"recovered", "rejoin", "a de-owned member that clears the health tracker re-enters the ring, taking back only its own keys"},

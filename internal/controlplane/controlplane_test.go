@@ -290,7 +290,6 @@ func TestReconcileDeownsAndRejoins(t *testing.T) {
 	cl := testCluster(t, 3, clock, func(c *Config) {
 		c.Health.Enabled = true
 		c.Health.MinObservations = 1
-		c.Health.FailureThreshold = 0.5
 		c.Health.SuspectStrikes = 1
 		c.Health.QuarantineStrikes = 1
 		c.Health.QuarantineDuration = 10 * time.Second

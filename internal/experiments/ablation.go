@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/balancer"
 	"repro/internal/cost"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -220,7 +221,7 @@ func AblationBalancer(o Options, setup ClusterSetup) AblationBalancerResult {
 	}
 	res := AblationBalancerResult{
 		HashMean:     run(simulate.HashPlacement(names, setup.Nodes)),
-		KMedoidsMean: run(optimusPlacement(o, fns, tr, setup.Nodes)),
+		KMedoidsMean: run(balancer.TracePlacement(o.Profile, fns, tr, setup.Nodes, o.Seed)),
 	}
 	res.Improvement = 1 - float64(res.KMedoidsMean)/float64(res.HashMean)
 	return res

@@ -7,7 +7,6 @@ import (
 	"repro/internal/balancer"
 	"repro/internal/cost"
 	"repro/internal/metrics"
-	"repro/internal/planner"
 	"repro/internal/policy"
 	"repro/internal/simulate"
 	"repro/internal/workload"
@@ -111,7 +110,7 @@ func Fig13(o Options, setup ClusterSetup) Fig13Result {
 		for _, pol := range policy.All() {
 			placement := simulate.HashPlacement(names, setup.Nodes)
 			if pol.Name() == "optimus" {
-				placement = optimusPlacement(o, fns, tr, setup.Nodes)
+				placement = balancer.TracePlacement(o.Profile, fns, tr, setup.Nodes, o.Seed)
 			}
 			sim := simulate.New(simulate.Config{
 				Policy:            pol,
@@ -140,21 +139,6 @@ func Fig13(o Options, setup ClusterSetup) Fig13Result {
 		}
 	}
 	return res
-}
-
-// optimusPlacement computes the §5.1 K-medoids placement from the trace's
-// demand history.
-func optimusPlacement(o Options, fns []*simulate.Function, tr *workload.Trace, nodes int) map[string][]int {
-	infos := make([]balancer.FunctionInfo, len(fns))
-	for i, f := range fns {
-		infos[i] = balancer.FunctionInfo{
-			Name:   f.Name,
-			Model:  f.Model,
-			Demand: workload.Series(tr, f.Name, balancer.SlotDuration),
-		}
-	}
-	pl := planner.New(cost.Exact(o.Profile), planner.AlgoGroup)
-	return balancer.Placement(pl, infos, nodes, balancer.Config{Seed: o.Seed})
 }
 
 // Render prints the Fig 13 table.

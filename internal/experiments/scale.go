@@ -13,18 +13,16 @@ import (
 )
 
 // ScaleBench is the simulator hot-path scaling benchmark: one synthetic
-// million-request trace on a cluster of disjoint node groups replayed three
+// million-request trace on a cluster of disjoint node groups replayed two
 // ways —
 //
-//   - serial/scan: the legacy O(nodes×containers) scanning router
-//     (Config.RouteScan), the pre-index engine baseline;
 //   - indexed: the incrementally-maintained routing index, serial replay;
 //   - windowed: the indexed engine streaming the trace through time windows
 //     whose independent partitions — one per node group — replay in
 //     parallel (simulate.RunWindowed).
 //
 // Wall times and speedups are machine-dependent; request counts, the
-// equality checks and allocation counts are reproducible.
+// equality check and allocation counts are reproducible.
 type ScaleBench struct {
 	Seed      int64 `json:"seed"`
 	Requests  int   `json:"requests"`
@@ -39,24 +37,17 @@ type ScaleBench struct {
 	MaxPartitions        int    `json:"max_partitions"`
 	WindowedSerialReason string `json:"windowed_serial_reason,omitempty"`
 
-	SerialMS   float64 `json:"serial_ms"`
 	IndexedMS  float64 `json:"indexed_ms"`
 	WindowedMS float64 `json:"windowed_ms"`
-	// SpeedupIndexed = serial/indexed, SpeedupWindowed = indexed/windowed,
-	// SpeedupTotal = serial/windowed.
-	SpeedupIndexed  float64 `json:"speedup_indexed"`
+	// SpeedupWindowed = indexed/windowed.
 	SpeedupWindowed float64 `json:"speedup_windowed"`
-	SpeedupTotal    float64 `json:"speedup_total"`
 
-	SerialAllocsPerReq   float64 `json:"serial_allocs_per_req"`
 	IndexedAllocsPerReq  float64 `json:"indexed_allocs_per_req"`
 	WindowedAllocsPerReq float64 `json:"windowed_allocs_per_req"`
 
-	// IndexedMatchesScan: the indexed replay's records are byte-identical to
-	// the scanning replay's. WindowedMatchesSerial: the windowed replay ran
-	// windowed and its summary (count, exact sums and max, latency sketch,
-	// kind counts, faults) equals the summary of the serial replay's records.
-	IndexedMatchesScan    bool `json:"indexed_matches_scan"`
+	// WindowedMatchesSerial: the windowed replay ran windowed and its summary
+	// (count, exact sums and max, latency sketch, kind counts, faults) equals
+	// the summary of the serial replay's records.
 	WindowedMatchesSerial bool `json:"windowed_matches_serial"`
 
 	// Stream, when present, is the constant-memory streaming replay section
@@ -97,12 +88,11 @@ func scaleCluster(o Options, requests, groups int) scaleFixture {
 // scaleClusterSpec builds the cluster and rate table without materializing
 // the trace.
 func scaleClusterSpec(o Options, requests, groups int) scaleSpec {
-	// Scan cost grows with the group's live container population, index cost
-	// does not. The population here comes from keep-alive bloat — the
-	// many-functions-few-invocations shape serverless ML deployments actually
-	// have (§2): each group packs ~a hundred functions that each hold one or
-	// two warm containers, so every scanning route walks hundreds of
-	// containers while the index answers from counters.
+	// Each group holds hundreds of live containers, which a scanning route
+	// would walk while the index answers from counters. The population comes
+	// from keep-alive bloat — the many-functions-few-invocations shape
+	// serverless ML deployments actually have (§2): each group packs ~a
+	// hundred functions that each hold one or two warm containers.
 	const nodesPerGroup = 8
 	const containersPerNode = 32
 	const fnsPerGroup = 128
@@ -156,20 +146,6 @@ func timedRun(requests int, run func()) (ms, allocsPerReq float64) {
 	return msF(wall), float64(after.Mallocs-before.Mallocs) / float64(requests)
 }
 
-// sameRecords reports byte-identity of two replays' record streams.
-func sameRecords(a, b *metrics.Collector) bool {
-	ra, rb := a.Records(), b.Records()
-	if len(ra) != len(rb) || a.Faults != b.Faults {
-		return false
-	}
-	for i := range ra {
-		if ra[i] != rb[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Scale runs the hot-path scaling benchmark. requests <= 0 defaults to one
 // million (50k in quick mode); groups and windows <= 0 default to 8 and 32.
 // The windowed replay's worker bound is the group count, so the parallel
@@ -200,30 +176,22 @@ func Scale(o Options, requests, groups, windows int) ScaleBench {
 		Windows:   windows,
 	}
 
-	// The two materialized replays together allocate ~4 record slices of
-	// ~100 MB each at the million-request scale; with the default GOGC the
-	// collector heaps trigger repeated full marks that tax whichever replay
-	// runs last. Relax GC during the benchmark and drop each replay's
-	// records as soon as the correctness checks are done with them.
+	// The materialized replay allocates ~2 record slices of ~100 MB each at
+	// the million-request scale; with the default GOGC the collector heap
+	// triggers repeated full marks that tax the windowed replay after it.
+	// Relax GC during the benchmark and drop the records as soon as their
+	// summary is taken.
 	defer debug.SetGCPercent(debug.SetGCPercent(1000))
 
-	scanCfg := fx.cfg
-	scanCfg.RouteScan = true
-	var serial, indexed *metrics.Collector
-	replay := func(cfg simulate.Config, out **metrics.Collector) func() {
-		return func() {
-			col, err := simulate.New(cfg, fx.fns).Run(fx.trace)
-			if err != nil {
-				panic(err)
-			}
-			*out = col
+	var indexed *metrics.Collector
+	res.IndexedMS, res.IndexedAllocsPerReq = timedRun(res.Requests, func() {
+		var err error
+		if indexed, err = simulate.New(fx.cfg, fx.fns).Run(fx.trace); err != nil {
+			panic(err)
 		}
-	}
-	res.SerialMS, res.SerialAllocsPerReq = timedRun(res.Requests, replay(scanCfg, &serial))
-	res.IndexedMS, res.IndexedAllocsPerReq = timedRun(res.Requests, replay(fx.cfg, &indexed))
-	res.IndexedMatchesScan = sameRecords(serial, indexed)
-	serialSum := *metrics.SummaryOf(serial)
-	serial, indexed = nil, nil
+	})
+	serialSum := *metrics.SummaryOf(indexed)
+	indexed = nil
 
 	var win *metrics.Summary
 	var report simulate.WindowReport
@@ -236,12 +204,8 @@ func Scale(o Options, requests, groups, windows int) ScaleBench {
 	})
 	res.MaxPartitions = report.MaxGroups
 	res.WindowedSerialReason = report.SerialReason
-	if res.IndexedMS > 0 {
-		res.SpeedupIndexed = res.SerialMS / res.IndexedMS
-	}
 	if res.WindowedMS > 0 {
 		res.SpeedupWindowed = res.IndexedMS / res.WindowedMS
-		res.SpeedupTotal = res.SerialMS / res.WindowedMS
 	}
 	res.WindowedMatchesSerial = report.Windowed() && *win == serialSum
 	return res
@@ -253,23 +217,17 @@ func (r ScaleBench) Render() string {
 	if r.WindowedSerialReason != "" {
 		windowed = "serial: " + r.WindowedSerialReason
 	}
-	okStr := func(b bool) string {
-		if b {
-			return "ok"
-		}
-		return "MISMATCH"
+	summary := "ok"
+	if !r.WindowedMatchesSerial {
+		summary = "MISMATCH"
 	}
 	out := fmt.Sprintf(`Simulator scale benchmark (seed %d)
 %d requests, %d functions, %d nodes in %d groups (%s, %d workers)
-  serial/scan  %8.1f ms   %6.1f allocs/req
-  indexed      %8.1f ms   %6.1f allocs/req   (%.2fx vs scan, records %s)
-  windowed     %8.1f ms   %6.1f allocs/req   (%.2fx vs indexed, summary %s)
-  total speedup %.2fx`,
+  indexed      %8.1f ms   %6.1f allocs/req
+  windowed     %8.1f ms   %6.1f allocs/req   (%.2fx vs indexed, summary %s)`,
 		r.Seed, r.Requests, r.Functions, r.Nodes, r.Groups, windowed, r.Workers,
-		r.SerialMS, r.SerialAllocsPerReq,
-		r.IndexedMS, r.IndexedAllocsPerReq, r.SpeedupIndexed, okStr(r.IndexedMatchesScan),
-		r.WindowedMS, r.WindowedAllocsPerReq, r.SpeedupWindowed, okStr(r.WindowedMatchesSerial),
-		r.SpeedupTotal)
+		r.IndexedMS, r.IndexedAllocsPerReq,
+		r.WindowedMS, r.WindowedAllocsPerReq, r.SpeedupWindowed, summary)
 	if r.Stream != nil {
 		out += "\n" + r.Stream.Render()
 	}

@@ -19,17 +19,14 @@ var fullScale = flag.Bool("full-scale", false,
 	"run the full-size scale and streaming benchmarks against their bars")
 
 // TestScaleSmoke runs the scale benchmark at a tiny request count and checks
-// the invariants that must hold at any scale: both equality proofs pass, the
-// windowed replay did not fall back and split windows into one partition
-// per node group (the placement is built to partition), and the indexed
-// engine allocates less per request than the scanning baseline.
+// the invariants that must hold at any scale: the windowed replay equals the
+// serial one, did not fall back, and split windows into one partition per
+// node group (the placement is built to partition); and on the same fixture
+// the indexed router agrees with the scanning router on every dispatch.
 func TestScaleSmoke(t *testing.T) {
 	res := Scale(Options{Quick: true, Seed: 5}, 4000, 4, 8)
 	if res.Requests == 0 {
 		t.Fatal("empty trace")
-	}
-	if !res.IndexedMatchesScan {
-		t.Error("indexed replay diverged from the scanning baseline")
 	}
 	if !res.WindowedMatchesSerial {
 		t.Error("windowed replay summary diverged from serial")
@@ -40,14 +37,11 @@ func TestScaleSmoke(t *testing.T) {
 	if res.MaxPartitions != res.Groups {
 		t.Errorf("expected %d partitions (one per group), got %d", res.Groups, res.MaxPartitions)
 	}
-	if res.IndexedAllocsPerReq >= res.SerialAllocsPerReq {
-		t.Errorf("indexed allocs/req %.1f not below scan baseline %.1f",
-			res.IndexedAllocsPerReq, res.SerialAllocsPerReq)
-	}
+	fx := scaleCluster(Options{Quick: true, Seed: 5}.withDefaults(), 4000, 4)
+	crossCheckRouting(t, fx, res.Requests)
 	// Record-level identity on the same fixture: the cross-check compares
 	// every window's record multiset with a lockstep serial oracle and
 	// panics on a divergence.
-	fx := scaleCluster(Options{Quick: true, Seed: 5}.withDefaults(), 4000, 4)
 	cfg := fx.cfg
 	cfg.CrossCheckWindows = true
 	sum, rep, err := simulate.RunWindowed(cfg, fx.fns, fx.trace.Cursor(), fx.trace.Duration, 8, 4)
@@ -56,6 +50,25 @@ func TestScaleSmoke(t *testing.T) {
 	}
 	if !rep.Windowed() || sum.Count() != res.Requests {
 		t.Errorf("cross-checked windowed replay: %d of %d requests, report %+v", sum.Count(), res.Requests, rep)
+	}
+}
+
+// crossCheckRouting replays the scale fixture serially with CrossCheckRouting
+// on: the simulator panics on the first dispatch where the indexed router and
+// the scanning router disagree, so a full replay proves the scan would have
+// produced the same records. Every one of the want arrivals must be served
+// or dropped.
+func crossCheckRouting(t *testing.T, fx scaleFixture, want int) {
+	t.Helper()
+	cfg := fx.cfg
+	cfg.CrossCheckRouting = true
+	sum, err := simulate.New(cfg, fx.fns).RunStream(fx.trace.Cursor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sum.Count() + sum.Faults.Dropped; got != want {
+		t.Errorf("routing cross-check replay: %d served + %d dropped, want %d arrivals",
+			sum.Count(), sum.Faults.Dropped, want)
 	}
 }
 
@@ -90,10 +103,10 @@ func TestStreamScaleSmoke(t *testing.T) {
 // TestFullScale runs the scale benchmark (1M requests) and its streaming
 // section (10M requests) at full size and checks every bar on the fresh run:
 //
-//   - the indexed engine is not slower than the scan baseline (a ratio
-//     measured within this process);
-//   - indexed == scan records and windowed == serial summaries, at 1M and
-//     on the streaming fixture; streaming == materialized summaries;
+//   - windowed == serial summaries, at 1M and on the streaming fixture;
+//     streaming == materialized summaries; and, on the 1M fixture, the
+//     indexed router agrees with the scanning router on every dispatch
+//     (a CrossCheckRouting replay);
 //   - the windowed replay neither falls back to serial nor splits into
 //     fewer partitions than node groups, and parallelizes some window;
 //   - streaming allocates no more per request than the indexed path, and
@@ -111,10 +124,9 @@ func TestFullScale(t *testing.T) {
 	res.Stream = &s
 	t.Logf("\n%s", res.Render())
 	requireKeys(t, res,
-		"requests", "serial_ms", "indexed_ms", "windowed_ms",
-		"speedup_indexed", "speedup_windowed", "speedup_total",
-		"serial_allocs_per_req", "indexed_allocs_per_req", "windowed_allocs_per_req",
-		"indexed_matches_scan", "windowed_matches_serial", "max_partitions", "stream")
+		"requests", "indexed_ms", "windowed_ms", "speedup_windowed",
+		"indexed_allocs_per_req", "windowed_allocs_per_req",
+		"windowed_matches_serial", "max_partitions", "stream")
 	requireKeys(t, s,
 		"stream_requests", "stream_ms", "stream_allocs_per_req",
 		"stream_peak_heap_base_mb", "stream_peak_heap_mb", "stream_peak_ratio",
@@ -122,12 +134,6 @@ func TestFullScale(t *testing.T) {
 
 	if res.Requests < 500_000 {
 		t.Errorf("scale trace has only %d requests; want >= 500000", res.Requests)
-	}
-	if res.SpeedupIndexed < 1.0 {
-		t.Errorf("indexed replay slower than the scan baseline: %.2fx", res.SpeedupIndexed)
-	}
-	if !res.IndexedMatchesScan {
-		t.Error("indexed replay diverged from the scanning baseline")
 	}
 	if !res.WindowedMatchesSerial {
 		t.Error("windowed replay summary diverged from serial")
@@ -164,6 +170,8 @@ func TestFullScale(t *testing.T) {
 		t.Errorf("peak heap %.1f MB exceeds the %.0f MB ceiling; heaviest allocation sites:\n%s",
 			s.PeakHeapMB, ceilingMB, topAllocSites(8))
 	}
+
+	crossCheckRouting(t, scaleCluster(Options{Seed: 1}.withDefaults(), 1_000_000, 8), res.Requests)
 }
 
 // topAllocSites renders the heaviest in-use allocation sites from the

@@ -254,9 +254,6 @@ func New(cfg Config, fn string, want int, now time.Duration) *Tree {
 // Fn returns the target function name.
 func (t *Tree) Fn() string { return t.fn }
 
-// Want returns the target replica count.
-func (t *Tree) Want() int { return t.want }
-
 // Done reports whether the tree reached its target with clean ledgers.
 func (t *Tree) Done() bool {
 	t.mu.Lock()

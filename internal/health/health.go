@@ -76,14 +76,6 @@ type Config struct {
 	// always report false, so routing ignores health state. Used to measure
 	// fault windows on a baseline run without changing its behavior.
 	ObserveOnly bool
-	// Alpha is the EWMA weight for new observations (default 0.2).
-	Alpha float64
-	// LatencyFactor flags a node whose latency EWMA exceeds this multiple of
-	// the cluster-wide EWMA (default 3).
-	LatencyFactor float64
-	// FailureThreshold flags a node whose failure-rate EWMA exceeds it
-	// (default 0.5).
-	FailureThreshold float64
 	// MinObservations is how many per-node observations the latency signal
 	// needs before it is trusted (default 8). The failure signal has no
 	// warm-up: failures are unambiguous.
@@ -105,16 +97,18 @@ type Config struct {
 	DrainTimeout time.Duration
 }
 
+// Fixed signal parameters; DESIGN.md "Fixed parameters" gives their sources.
+const (
+	// alpha is the EWMA weight for new observations.
+	alpha = 0.2
+	// latencyFactor flags a node whose latency EWMA exceeds this multiple
+	// of the cluster-wide EWMA.
+	latencyFactor = 3
+	// failureThreshold flags a node whose failure-rate EWMA exceeds it.
+	failureThreshold = 0.5
+)
+
 func (c Config) withDefaults() Config {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.2
-	}
-	if c.LatencyFactor <= 1 {
-		c.LatencyFactor = 3
-	}
-	if c.FailureThreshold <= 0 || c.FailureThreshold > 1 {
-		c.FailureThreshold = 0.5
-	}
 	if c.MinObservations <= 0 {
 		c.MinObservations = 8
 	}
@@ -270,11 +264,11 @@ func (t *Tracker) advance(node int, now time.Duration) {
 
 // flagged reports whether the node's current signals exceed thresholds.
 func (t *Tracker) flagged(h *nodeHealth) bool {
-	if h.failEWMA > t.cfg.FailureThreshold {
+	if h.failEWMA > failureThreshold {
 		return true
 	}
 	return h.obs >= t.cfg.MinObservations && t.clusterObs >= t.cfg.MinObservations &&
-		t.clusterLat > 0 && h.latEWMA > t.cfg.LatencyFactor*t.clusterLat
+		t.clusterLat > 0 && h.latEWMA > latencyFactor*t.clusterLat
 }
 
 // observe folds one observation (a served request's latency, or a failure)
@@ -285,7 +279,7 @@ func (t *Tracker) observe(node int, now time.Duration, latency time.Duration, fa
 	}
 	t.advance(node, now)
 	h := &t.nodes[node]
-	a := t.cfg.Alpha
+	a := float64(alpha)
 	if failed {
 		h.failEWMA = (1-a)*h.failEWMA + a
 	} else {

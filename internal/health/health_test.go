@@ -13,7 +13,6 @@ func testConfig() Config {
 		ClearStreak:        3,
 		QuarantineDuration: 10 * time.Second,
 		DrainTimeout:       5 * time.Second,
-		FailureThreshold:   0.5,
 	}
 }
 
@@ -126,7 +125,6 @@ func TestRecoveredRelapsesToSuspect(t *testing.T) {
 func TestLatencyOutlierFlagsNode(t *testing.T) {
 	cfg := testConfig()
 	cfg.MinObservations = 4
-	cfg.LatencyFactor = 3
 	tr := New(cfg, 5)
 	now := time.Duration(0)
 	// Nodes 1-4 set a fast cluster baseline; node 0 is a slow outlier.

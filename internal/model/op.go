@@ -270,12 +270,6 @@ func (o *Operation) SameStructure(other *Operation) bool {
 	return o.Type == other.Type && o.Shape == other.Shape
 }
 
-// Identical reports whether two operations have identical type, shape and
-// weights identity — the Tetris sharing condition.
-func (o *Operation) Identical(other *Operation) bool {
-	return o.SameStructure(other) && o.WeightsID == other.WeightsID
-}
-
 // String renders the operation for debugging.
 func (o *Operation) String() string {
 	return fmt.Sprintf("#%d %s[%s %s]", o.ID, o.Name, o.Type, o.Shape)

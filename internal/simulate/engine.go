@@ -34,9 +34,6 @@ type Config struct {
 	// Placement maps function name → candidate node IDs. Functions absent
 	// from the map (or a nil map) are hashed across all nodes.
 	Placement map[string][]int
-	// PlannerAlgo selects the transformation planning algorithm for
-	// policies that plan (default AlgoGroup).
-	PlannerAlgo planner.Algorithm
 	// PlanCacheMax bounds the planning-strategy cache: beyond it the least
 	// recently used plan is evicted (eviction counters surface through
 	// planner.Cache.Counters). Zero keeps the cache unbounded.
@@ -77,27 +74,9 @@ type Config struct {
 	// through the safeguard path (StartTimeout). Values at or below 1
 	// disable the watchdog, leaving hung transforms undetected.
 	WatchdogFactor float64
-	// HangFactor is how far past its planned cost an *undetected* hung
-	// transformation runs before finishing (default 10×). Only consulted
-	// when Faults.Hang fires without a watchdog configured.
-	HangFactor float64
 	// Breaker configures the per-(src→dst)-pair transform circuit breaker;
 	// the zero value (Threshold 0) disables it.
 	Breaker supervisor.BreakerConfig
-	// SlowFactor multiplies service time on a node inside an injected gray
-	// slow window (default 4); SlowDuration is the window length
-	// (default 60 s).
-	SlowFactor   float64
-	SlowDuration time.Duration
-	// FlakyDuration is the flaky-donor window length (default 60 s): while
-	// it lasts, transformations sourced on the node abort and recover
-	// through the safeguard fallback.
-	FlakyDuration time.Duration
-	// BandwidthFactor multiplies transform cost on a node inside a degraded
-	// transform-bandwidth window (default 3); BandwidthDuration is the
-	// window length (default 60 s).
-	BandwidthFactor   float64
-	BandwidthDuration time.Duration
 	// Health configures the per-node gray-failure health state machine
 	// (package health): routing and donor selection skip quarantined and
 	// draining nodes. The zero value disables tracking.
@@ -117,10 +96,6 @@ type Config struct {
 	// to the next wave. Trace-replay (event-loop) mode only — Online serving
 	// never queues, so trees never trigger there. The zero value disables it.
 	Fanout fanout.Config
-	// RouteScan forces the legacy O(nodes×containers) scanning router for
-	// trace replay instead of the incrementally-maintained routing index —
-	// the "current engine" baseline for the scale benchmark.
-	RouteScan bool
 	// CrossCheckRouting runs the indexed and scanning routers side by side on
 	// every dispatch and panics on the first divergence. Debug/test only:
 	// it pays both routers' cost.
@@ -131,6 +106,27 @@ type Config struct {
 	// run's full cost and retains records, forfeiting constant memory.
 	CrossCheckWindows bool
 }
+
+// Fixed engine parameters; DESIGN.md "Fixed parameters" gives their sources.
+const (
+	// plannerAlgo is the transformation planning algorithm for policies
+	// that plan: the §4.4 group-wise matching.
+	plannerAlgo = planner.AlgoGroup
+	// hangFactor is how far past its planned cost an undetected hung
+	// transformation runs before finishing. Only consulted when
+	// Faults.Hang fires without a watchdog configured.
+	hangFactor = 10
+	// slowFactor multiplies service time on a node inside an injected gray
+	// slow window.
+	slowFactor = 4
+	// bandwidthFactor multiplies transform cost on a node inside a degraded
+	// transform-bandwidth window.
+	bandwidthFactor = 3
+	// grayWindow is the length of every gray fault window: slow, flaky
+	// (transforms sourced on the node abort and recover through the
+	// safeguard fallback) and degraded bandwidth.
+	grayWindow = 60 * time.Second
+)
 
 // memoryMode derives the allocation mode from the config.
 func (c Config) memoryMode() MemoryMode {
@@ -169,24 +165,6 @@ func (c Config) withDefaults() Config {
 	if c.OutageDuration <= 0 {
 		c.OutageDuration = 30 * time.Second
 	}
-	if c.HangFactor <= 1 {
-		c.HangFactor = 10
-	}
-	if c.SlowFactor <= 1 {
-		c.SlowFactor = 4
-	}
-	if c.SlowDuration <= 0 {
-		c.SlowDuration = 60 * time.Second
-	}
-	if c.FlakyDuration <= 0 {
-		c.FlakyDuration = 60 * time.Second
-	}
-	if c.BandwidthFactor <= 1 {
-		c.BandwidthFactor = 3
-	}
-	if c.BandwidthDuration <= 0 {
-		c.BandwidthDuration = 60 * time.Second
-	}
 	if c.Fanout.Enabled {
 		c.Fanout = c.Fanout.WithDefaults()
 	}
@@ -210,8 +188,8 @@ type Simulator struct {
 	clock  time.Duration
 	events eventHeap
 	seq    int
-	// idxOn reports that the per-node routing index is enabled (trace
-	// replay without RouteScan); Online mode keeps it off.
+	// idxOn reports that the per-node routing index is enabled: trace
+	// replay always enables it; Online mode keeps it off.
 	idxOn bool
 
 	collector metrics.Collector
@@ -273,7 +251,7 @@ func New(cfg Config, fns []*Function) *Simulator {
 		est: est,
 		env: &Env{
 			Profile:           cfg.Profile,
-			Planner:           planner.New(est, cfg.PlannerAlgo),
+			Planner:           planner.New(est, plannerAlgo),
 			Plans:             planner.NewCacheBounded(cfg.PlanCacheMax),
 			IdleThreshold:     cfg.IdleThreshold,
 			KeepAlive:         cfg.KeepAlive,
@@ -463,9 +441,7 @@ func (s *Simulator) RunStream(src workload.Cursor) (*metrics.Summary, error) {
 // events keep scheduling order. src must yield nondecreasing timestamps;
 // out-of-order input or an unknown function name is an error.
 func (s *Simulator) replay(src workload.Cursor) error {
-	if !s.cfg.RouteScan || s.cfg.CrossCheckRouting {
-		s.enableIndex()
-	}
+	s.enableIndex()
 	req, ok := src.Next()
 	last := req.At
 	for ok || len(s.events) > 0 {
@@ -637,12 +613,12 @@ func (s *Simulator) admit(fr *fnRuntime, arrival time.Duration) {
 }
 
 // slowNode opens (or extends) a gray slow window on the node: it keeps
-// serving, but SlowFactor× slower, until the window closes.
+// serving, but slowFactor× slower, until the window closes.
 func (s *Simulator) slowNode(n *Node) {
 	if !n.Slow(s.clock) {
 		s.collector.Faults.SlowWindows++
 	}
-	n.SlowUntil = s.clock + s.cfg.SlowDuration
+	n.SlowUntil = s.clock + grayWindow
 }
 
 // dispatch routes a (possibly retried) request. When every candidate node is
@@ -730,8 +706,9 @@ func (s *Simulator) unroutable(n *Node, now time.Duration) bool {
 	return s.health != nil && s.health.Avoid(n.ID, now)
 }
 
-// routeFor routes through the index when enabled, falling back to (or
-// cross-checking against) the legacy scanning router.
+// routeFor routes through the index when enabled (trace replay), falling
+// back to the scanning router in Online mode; with CrossCheckRouting the
+// scan is the index's oracle.
 func (s *Simulator) routeFor(fr *fnRuntime) *Node {
 	if !s.idxOn {
 		return s.route(fr.fn)
@@ -739,7 +716,7 @@ func (s *Simulator) routeFor(fr *fnRuntime) *Node {
 	picked := s.routeIndexed(fr)
 	if s.cfg.CrossCheckRouting {
 		if scan := s.route(fr.fn); scan != picked {
-			//optimus:allow panicpath — cross-check oracle: indexed routing diverged from the scan baseline
+			//optimus:allow panicpath — cross-check oracle: indexed routing diverged from the scanning router
 			panic(fmt.Sprintf(
 				"simulate: routing divergence for %q at %v: index chose node %d, scan chose node %d",
 				fr.fn.Name, s.clock, picked.ID, scan.ID))
@@ -755,10 +732,9 @@ func (s *Simulator) routeFor(fr *fnRuntime) *Node {
 // multi-node cluster keeps warm-container locality instead of fragmenting
 // containers across the cluster.
 //
-// This is the legacy scanning router: O(containers) per candidate node. It
-// routes whenever the index is off (Online serving and the RouteScan
-// baseline) and is the CrossCheckRouting oracle; trace replay normally
-// routes through routeIndexed.
+// This is the scanning router: O(containers) per candidate node. It is
+// Online serving's router and the CrossCheckRouting oracle; trace replay
+// always routes through routeIndexed.
 func (s *Simulator) route(fn *Function) *Node {
 	cands := s.candidates(fn)
 	now := s.clock
@@ -924,7 +900,7 @@ func transformPair(d Decision, fn *Function) (src, dst string) {
 // from-scratch load, gray flaky/bandwidth windows degrade transforms on the
 // serving node, injected aborts take the safeguard fallback, injected hangs
 // are recovered by a hedged backup from the next-best donor, cancelled by the
-// watchdog at their deadline, or run undetected for HangFactor× the plan, and
+// watchdog at their deadline, or run undetected for hangFactor× the plan, and
 // from-scratch loads may fail and restart. Returns the (possibly degraded)
 // decision.
 func (s *Simulator) superviseDecision(d Decision, fn *Function, node *Node, now time.Duration) Decision {
@@ -942,18 +918,18 @@ func (s *Simulator) superviseDecision(d Decision, fn *Function, node *Node, now 
 				if !node.Flaky(now) {
 					s.collector.Faults.FlakyWindows++
 				}
-				node.FlakyUntil = now + s.cfg.FlakyDuration
+				node.FlakyUntil = now + grayWindow
 			}
 			if s.inj.Fire(faults.Bandwidth) {
 				if !node.DegradedBandwidth(now) {
 					s.collector.Faults.BandwidthWindows++
 				}
-				node.BandwidthUntil = now + s.cfg.BandwidthDuration
+				node.BandwidthUntil = now + grayWindow
 			}
 			if node.DegradedBandwidth(now) {
 				// Degraded transform bandwidth inflates the transform cost
 				// before any abort or hang accounting charges it.
-				d.Load = time.Duration(float64(d.Load) * s.cfg.BandwidthFactor)
+				d.Load = time.Duration(float64(d.Load) * bandwidthFactor)
 			}
 			switch {
 			case node.Flaky(now):
@@ -999,7 +975,7 @@ func (s *Simulator) superviseDecision(d Decision, fn *Function, node *Node, now 
 // superviseHang resolves an injected transform hang: a hedged backup from the
 // next-best donor wins if it beats the primary's own recovery path, otherwise
 // the watchdog cancels the hung transform at its deadline, or — with neither
-// configured — the transform stalls undetected for HangFactor× the plan.
+// configured — the transform stalls undetected for hangFactor× the plan.
 func (s *Simulator) superviseHang(d Decision, fn *Function, node *Node, src, dst string, now time.Duration) Decision {
 	s.collector.Faults.Hangs++
 	planned := d.Load
@@ -1013,7 +989,7 @@ func (s *Simulator) superviseHang(d Decision, fn *Function, node *Node, src, dst
 		if s.watchdog != nil {
 			unhedged = s.watchdog.Deadline(planned) + fresh
 		} else {
-			unhedged = time.Duration(float64(planned) * s.cfg.HangFactor)
+			unhedged = time.Duration(float64(planned) * hangFactor)
 		}
 		win := hedged < unhedged
 		s.hedger.RecordHedge(win)
@@ -1038,9 +1014,9 @@ func (s *Simulator) superviseHang(d Decision, fn *Function, node *Node, src, dst
 		s.breaker.RecordFailure(src, dst, now)
 		s.health.ObserveFailure(node.ID, now)
 	} else {
-		// Undetected: the transform stalls for HangFactor× the plan before
+		// Undetected: the transform stalls for hangFactor× the plan before
 		// eventually finishing on its own.
-		d.Load = time.Duration(float64(planned) * s.cfg.HangFactor)
+		d.Load = time.Duration(float64(planned) * hangFactor)
 		s.breaker.RecordSuccess(src, dst)
 		s.health.ObserveFailure(node.ID, now)
 	}
@@ -1157,9 +1133,9 @@ func (s *Simulator) decide(node *Node, fr *fnRuntime, at time.Duration) (d Decis
 	c.Fn = fn
 	compute = s.computeFor(fr)
 	if node.Slow(at) {
-		// A gray-slow node serves everything SlowFactor× slower; each
+		// A gray-slow node serves everything slowFactor× slower; each
 		// breakdown component inflates alike so records stay additive.
-		f := s.cfg.SlowFactor
+		f := float64(slowFactor)
 		d.Init = time.Duration(float64(d.Init) * f)
 		d.Load = time.Duration(float64(d.Load) * f)
 		compute = time.Duration(float64(compute) * f)

@@ -370,7 +370,7 @@ func (s *Simulator) scheduleDonation(run *fanoutRun, a fanout.Assignment) {
 	w := run.weightsDur
 	donorNode := s.nodes[a.DonorNode]
 	if donorNode.DegradedBandwidth(now) {
-		w = time.Duration(float64(w) * s.cfg.BandwidthFactor)
+		w = time.Duration(float64(w) * bandwidthFactor)
 	}
 	if s.watchdog != nil && w > s.watchdog.Deadline(run.weightsDur) {
 		s.watchdog.RecordWaveCancel()

@@ -235,37 +235,6 @@ func TestGrayRunsAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestZeroGrayConfigMatchesSeedBehavior pins the compatibility contract: with
-// every new knob at its zero value, a faulted run is byte-identical to the
-// pre-gray engine (the new Fire calls consume no randomness at zero rate).
-func TestZeroGrayConfigMatchesSeedBehavior(t *testing.T) {
-	fns, tr := chaosTrace(t)
-	run := func(cfg simulate.Config) []metrics.Record {
-		sim := simulate.New(cfg, fns)
-		col, err := sim.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return col.Records()
-	}
-	base := simulate.Config{
-		Policy: policy.Optimus{}, Nodes: 2, ContainersPerNode: 2, Seed: 5,
-		Faults: faults.Rates{Transform: 0.2, Crash: 0.1, Outage: 0.01, Hang: 0.1},
-	}
-	withZeros := base
-	withZeros.SlowFactor = 4
-	withZeros.BandwidthFactor = 3
-	r1, r2 := run(base), run(withZeros)
-	if len(r1) != len(r2) {
-		t.Fatalf("record counts diverged: %d vs %d", len(r1), len(r2))
-	}
-	for i := range r1 {
-		if r1[i] != r2[i] {
-			t.Fatalf("record %d diverged: %+v vs %+v", i, r1[i], r2[i])
-		}
-	}
-}
-
 // TestCheckpointRestoreReconcilesHealth is the restore-while-quarantined
 // coverage: exporting a cluster whose node is quarantined/draining and
 // importing it into a fresh server must carry the health state over — the

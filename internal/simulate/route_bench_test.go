@@ -25,10 +25,7 @@ func benchSim(b testing.TB, nodes, containers int, scan bool) (*Simulator, []*fn
 		fns[i] = &Function{Name: n, Model: g}
 	}
 	// Policy stays nil: the routing paths under test never consult it.
-	s := New(Config{
-		Nodes: nodes, ContainersPerNode: containers,
-		RouteScan: scan,
-	}, fns)
+	s := New(Config{Nodes: nodes, ContainersPerNode: containers}, fns)
 	if !scan {
 		s.enableIndex()
 	}
@@ -63,7 +60,7 @@ func benchSim(b testing.TB, nodes, containers int, scan bool) (*Simulator, []*fn
 	return s, frs
 }
 
-// BenchmarkRoute compares the legacy scanning router against the indexed
+// BenchmarkRoute compares the scanning router against the indexed
 // router on a warm mid-replay cluster. The indexed path must report
 // 0 allocs/op.
 func BenchmarkRoute(b *testing.B) {
@@ -94,6 +91,35 @@ func BenchmarkRoute(b *testing.B) {
 }
 
 var sinkNode *Node
+
+// TestIndexedRouteFasterThanScan checks, in one process on BenchmarkRoute's
+// large-32x16 fixture, that the indexed router beats the scanning router it
+// replaced for trace replay. Each router's time is the fastest of several
+// rounds, so a scheduling hiccup in one round cannot flip the comparison.
+func TestIndexedRouteFasterThanScan(t *testing.T) {
+	scanSim, scanFrs := benchSim(t, 32, 16, true)
+	idxSim, idxFrs := benchSim(t, 32, 16, false)
+	fastest := func(route func(i int)) time.Duration {
+		const rounds, calls = 5, 5000
+		best := time.Duration(1<<63 - 1)
+		for r := 0; r < rounds; r++ {
+			t0 := time.Now()
+			for i := 0; i < calls; i++ {
+				route(i)
+			}
+			if d := time.Since(t0); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	scan := fastest(func(i int) { sinkNode = scanSim.route(scanFrs[i%len(scanFrs)].fn) })
+	indexed := fastest(func(i int) { sinkNode = idxSim.routeIndexed(idxFrs[i%len(idxFrs)]) })
+	t.Logf("5000 routes: scan %v, indexed %v (%.1fx)", scan, indexed, float64(scan)/float64(indexed))
+	if indexed >= scan {
+		t.Errorf("indexed routing (%v) is not faster than scanning (%v)", indexed, scan)
+	}
+}
 
 // TestRouteWarmPathAllocs pins the satellite requirement: the indexed warm
 // routing path allocates nothing.

@@ -142,7 +142,7 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 }
 
 // TestHangWithAndWithoutWatchdog: an injected hang without a watchdog stalls
-// the transform for HangFactor× its plan but still completes it; with a
+// the transform for hangFactor× its plan but still completes it; with a
 // watchdog it is cancelled at Factor× the plan and charged the safeguard
 // fallback under the StartTimeout kind. The arithmetic ties the two runs to
 // the same planned cost.

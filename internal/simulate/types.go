@@ -117,7 +117,7 @@ type Node struct {
 	queue  []queued
 	nextID int
 	// idx is the incrementally-maintained routing index (index.go); nil when
-	// the simulator routes by scanning (Online mode, RouteScan baseline).
+	// the simulator routes by scanning (Online mode).
 	idx *nodeIndex
 }
 

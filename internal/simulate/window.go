@@ -232,9 +232,7 @@ func RunWindowed(cfg Config, fns []*Function, src workload.Cursor, duration time
 	}
 
 	s := New(cfg, fns)
-	if !s.cfg.RouteScan || s.cfg.CrossCheckRouting {
-		s.enableIndex()
-	}
+	s.enableIndex()
 	sum := &metrics.Summary{}
 	crossCheck := s.cfg.CrossCheckWindows
 	var oracle *Simulator
@@ -243,9 +241,7 @@ func RunWindowed(cfg Config, fns []*Function, src workload.Cursor, duration time
 		// both collectors retain records so per-window deltas can be
 		// compared. Debug/test mode: it pays the serial run's full cost.
 		oracle = New(cfg, fns)
-		if !oracle.cfg.RouteScan || oracle.cfg.CrossCheckRouting {
-			oracle.enableIndex()
-		}
+		oracle.enableIndex()
 	} else {
 		s.collector.StreamInto(sum)
 	}

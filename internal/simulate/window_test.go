@@ -9,7 +9,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/health"
 	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/planner"
 	"repro/internal/policy"
 	"repro/internal/simulate"
@@ -37,12 +36,11 @@ func groupPlacement() map[string][]int {
 	return out
 }
 
-func groupConfig(algo planner.Algorithm) simulate.Config {
+func groupConfig() simulate.Config {
 	return simulate.Config{
 		Policy: policy.Optimus{}, Nodes: 4, ContainersPerNode: 3,
-		Placement:   groupPlacement(),
-		PlannerAlgo: algo,
-		Seed:        11,
+		Placement: groupPlacement(),
+		Seed:      11,
 	}
 }
 
@@ -53,24 +51,6 @@ func mixedRates(names []string) map[string]float64 {
 	out := make(map[string]float64, len(names))
 	for i, n := range names {
 		out[n] = levels[i%len(levels)]
-	}
-	return out
-}
-
-// tinyFunctions builds functions over small chain models that stay within
-// the brute-force planner's factorial limit (the zoo models are far too
-// large for it). Names reuse groupNames so groupPlacement applies.
-func tinyFunctions() []*simulate.Function {
-	out := make([]*simulate.Function, len(groupNames))
-	for i, name := range groupNames {
-		b := model.NewBuilder(name, "tiny", "t")
-		// Vary depth and widths so different pairs transform differently.
-		b.Conv("c1", 3, 8, 8+i, 1)
-		b.ReLU("r1", 8+i)
-		if i%2 == 0 {
-			b.Conv("c2", 1, 8+i, 8, 1)
-		}
-		out[i] = &simulate.Function{Name: name, Model: b.Graph()}
 	}
 	return out
 }
@@ -223,22 +203,16 @@ func TestWindowedMatchesSerial(t *testing.T) {
 }
 
 // TestShardDeterminism runs checkWindowed on two disjoint node groups, so
-// every window splits into the same two shards (partitions), under each
-// planner algorithm: the merged shards must equal the serial replay.
+// every window splits into the same two shards (partitions), under the
+// simulator's planner (AlgoGroup): the merged shards must equal the serial
+// replay.
 func TestShardDeterminism(t *testing.T) {
-	zooFns := testFunctions(t, groupNames...)
-	for _, algo := range []planner.Algorithm{planner.AlgoGroup, planner.AlgoHungarian, planner.AlgoBrute} {
-		t.Run(algo.String(), func(t *testing.T) {
-			fns := zooFns
-			if algo == planner.AlgoBrute {
-				fns = tinyFunctions() // brute needs tiny cost matrices
-			}
-			checkWindowed(t, windowCase{
-				cfg: groupConfig(algo), fns: fns, rates: mixedRates(groupNames),
-				dur: 12 * time.Hour, seed: 23, windows: 32, workers: 4, wantGroups: 2,
-			})
+	t.Run(planner.AlgoGroup.String(), func(t *testing.T) {
+		checkWindowed(t, windowCase{
+			cfg: groupConfig(), fns: testFunctions(t, groupNames...), rates: mixedRates(groupNames),
+			dur: 12 * time.Hour, seed: 23, windows: 32, workers: 4, wantGroups: 2,
 		})
-	}
+	})
 }
 
 // TestShardDeterminismRepeatable pins run-to-run stability of windowed replay
@@ -247,7 +221,7 @@ func TestShardDeterminism(t *testing.T) {
 // scheduling.
 func TestShardDeterminismRepeatable(t *testing.T) {
 	fns := testFunctions(t, groupNames...)
-	cfg := groupConfig(planner.AlgoGroup)
+	cfg := groupConfig()
 	rates := mixedRates(groupNames)
 	const dur = 6 * time.Hour
 	run := func(workers int) (*metrics.Summary, simulate.WindowReport) {
@@ -506,5 +480,5 @@ func TestWindowedVerifyTransforms(t *testing.T) {
 // TestShardVerifyTransformsCounter checks the verify counters on two
 // disjoint node groups, where every parallel window runs two shards.
 func TestShardVerifyTransformsCounter(t *testing.T) {
-	checkVerifyCounter(t, groupConfig(planner.AlgoGroup), testFunctions(t, groupNames...), mixedRates(groupNames), 19)
+	checkVerifyCounter(t, groupConfig(), testFunctions(t, groupNames...), mixedRates(groupNames), 19)
 }

@@ -18,20 +18,19 @@ type BackoffConfig struct {
 	Base time.Duration
 	// Cap bounds any single delay (default 16× Base).
 	Cap time.Duration
-	// Factor is the exponential growth per attempt (default 2).
-	Factor float64
 	// Jitter is the ± fraction of seeded jitter applied to each delay
 	// (default 0.5, clamped to [0, 1]). Jitter draws from the backoff's own
 	// seeded PRNG, never the global one, so replays are exact.
 	Jitter float64
 }
 
+// backoffFactor is the exponential delay growth per retry attempt; DESIGN.md
+// "Fixed parameters" gives its source.
+const backoffFactor = 2
+
 func (c BackoffConfig) withDefaults() BackoffConfig {
 	if c.Cap <= 0 {
 		c.Cap = 16 * c.Base
-	}
-	if c.Factor < 1 {
-		c.Factor = 2
 	}
 	if c.Jitter < 0 {
 		c.Jitter = 0
@@ -73,14 +72,14 @@ func NewBackoff(cfg BackoffConfig, seed int64) *Backoff {
 }
 
 // Delay returns the virtual-time delay before retry number attempt (0-based):
-// min(Cap, Base·Factor^attempt), spread by ±Jitter from the seeded PRNG.
+// min(Cap, Base·backoffFactor^attempt), spread by ±Jitter from the seeded PRNG.
 func (b *Backoff) Delay(attempt int) time.Duration {
 	if b == nil {
 		return 0
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	d := float64(b.cfg.Base) * math.Pow(b.cfg.Factor, float64(attempt))
+	d := float64(b.cfg.Base) * math.Pow(backoffFactor, float64(attempt))
 	if capf := float64(b.cfg.Cap); d > capf {
 		d = capf
 	}

@@ -20,7 +20,7 @@ func TestBackoffDisabledIsNil(t *testing.T) {
 }
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	cfg := BackoffConfig{Base: 100 * time.Millisecond, Cap: 800 * time.Millisecond, Factor: 2, Jitter: 0.25}
+	cfg := BackoffConfig{Base: 100 * time.Millisecond, Cap: 800 * time.Millisecond, Jitter: 0.25}
 	b := NewBackoff(cfg, 42)
 	for attempt := 0; attempt < 8; attempt++ {
 		d := b.Delay(attempt)

@@ -357,7 +357,7 @@ func (s *System) simConfig(trace *Trace) (simulate.Config, error) {
 	names := s.Functions()
 	var placement map[string][]int
 	if s.cfg.UseBalancer {
-		placement = s.balancerPlacement(trace, nodes)
+		placement = balancer.TracePlacement(s.cfg.Hardware.profile(), s.fns, trace, nodes, s.cfg.Seed)
 	} else {
 		placement = simulate.HashPlacement(names, nodes)
 	}
@@ -423,19 +423,6 @@ func (s *System) Run(trace *Trace) (*Report, error) {
 	}
 	rep.Verified, rep.Health = sim.TransformsVerified, sim.Health().Summarize()
 	return rep, nil
-}
-
-func (s *System) balancerPlacement(trace *Trace, nodes int) map[string][]int {
-	infos := make([]balancer.FunctionInfo, len(s.fns))
-	for i, f := range s.fns {
-		infos[i] = balancer.FunctionInfo{
-			Name:   f.Name,
-			Model:  f.Model,
-			Demand: workload.Series(trace, f.Name, balancer.SlotDuration),
-		}
-	}
-	pl := planner.New(cost.Exact(s.cfg.Hardware.profile()), planner.AlgoGroup)
-	return balancer.Placement(pl, infos, nodes, balancer.Config{Seed: s.cfg.Seed})
 }
 
 // Report summarizes a system run.
