@@ -140,7 +140,8 @@ type AblationPlanCacheResult struct {
 }
 
 // AblationPlanCache measures cache effectiveness over repeated lookups of a
-// representative transformation set.
+// representative transformation set, timing the uncached and cached loops
+// interleaved and keeping each one's fastest round.
 func AblationPlanCache(o Options, lookups int) AblationPlanCacheResult {
 	o = o.withDefaults()
 	if o.Quick && lookups > 50 {
@@ -155,22 +156,22 @@ func AblationPlanCache(o Options, lookups int) AblationPlanCacheResult {
 	}
 	res := AblationPlanCacheResult{Lookups: lookups}
 
-	t0 := time.Now()
-	for k := 0; k < lookups; k++ {
-		pr := pairs[k%len(pairs)]
-		_ = pl.Plan(pr[0], pr[1])
-	}
-	res.ColdMean = time.Since(t0) / time.Duration(lookups)
-
 	for _, pr := range pairs {
 		cache.GetOrPlan(pl, pr[0], pr[1]) // warm the cache
 	}
-	t1 := time.Now()
-	for k := 0; k < lookups; k++ {
-		pr := pairs[k%len(pairs)]
-		cache.GetOrPlan(pl, pr[0], pr[1])
-	}
-	res.CachedMean = time.Since(t1) / time.Duration(lookups)
+	took := fastest(func() {
+		for k := 0; k < lookups; k++ {
+			pr := pairs[k%len(pairs)]
+			_ = pl.Plan(pr[0], pr[1])
+		}
+	}, func() {
+		for k := 0; k < lookups; k++ {
+			pr := pairs[k%len(pairs)]
+			cache.GetOrPlan(pl, pr[0], pr[1])
+		}
+	})
+	res.ColdMean = took[0] / time.Duration(lookups)
+	res.CachedMean = took[1] / time.Duration(lookups)
 	if res.CachedMean > 0 {
 		res.SpeedupFactor = float64(res.ColdMean) / float64(res.CachedMean)
 	}

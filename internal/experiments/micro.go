@@ -201,7 +201,7 @@ func Fig5a(o Options) Fig5aResult {
 		g := imgZoo.MustGet(name)
 		other := reweight(g, "retrained")
 		plan := pl.Plan(other, g)
-		transform := plan.TrueCost(o.Profile, other) + o.Profile.Compute(g)
+		transform := plan.TrueCost(o.Profile, other, g) + o.Profile.Compute(g)
 		coldTotal := o.Profile.ColdStart(g) + o.Profile.Compute(g)
 		red := 1 - float64(transform)/float64(coldTotal)
 		res.Rows = append(res.Rows, Fig5aRow{Model: name, ColdTotal: coldTotal, Transform: transform, Reduction: red})

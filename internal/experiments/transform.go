@@ -58,11 +58,7 @@ func Fig11(o Options) Fig11Result {
 				target = reweight(dst.g, "retrained")
 			}
 			plan := pl.Plan(src.g, target)
-			row[j] = plan.TrueCost(o.Profile, src.g)
-			if plan.LoadFromScratch {
-				row[j] = o.Profile.ModelLoad(target).Total()
-				sg[j] = true
-			}
+			row[j], sg[j] = plan.TrueCost(o.Profile, src.g, target), plan.LoadFromScratch
 			if red := 1 - float64(row[j])/float64(res.Scratch[j]); red > res.MaxReduction {
 				res.MaxReduction = red
 			}
@@ -141,10 +137,7 @@ func Fig12(o Options, pairs int) Fig12Result {
 		src := imgZoo.MustGet(imgNames[rng.Intn(len(imgNames))])
 		dst := imgZoo.MustGet(imgNames[rng.Intn(len(imgNames))])
 		plan := pl.Plan(src, dst)
-		c := plan.TrueCost(o.Profile, src)
-		if plan.LoadFromScratch {
-			c = o.Profile.ModelLoad(dst).Total()
-		}
+		c := plan.TrueCost(o.Profile, src, dst)
 		imgT = append(imgT, c)
 		// The load sample is the same pair's destination, so the reduction
 		// is the per-case saving (the safeguard bounds it at ≥ 0).
@@ -163,10 +156,7 @@ func Fig12(o Options, pairs int) Fig12Result {
 			panic(err)
 		}
 		plan := pl.Plan(src, dst)
-		c := plan.TrueCost(o.Profile, src)
-		if plan.LoadFromScratch {
-			c = o.Profile.ModelLoad(dst).Total()
-		}
+		c := plan.TrueCost(o.Profile, src, dst)
 		nasT = append(nasT, c)
 		nasL = append(nasL, o.Profile.ModelLoad(dst).Total())
 	}
@@ -268,7 +258,8 @@ func (r Fig15Result) Render() string {
 // transformation.
 type Table1Case struct {
 	Src, Dst string
-	// Wall-clock planning times measured in this process.
+	// Wall-clock planning times measured in this process: the fastest of
+	// five interleaved runs of each planner.
 	BasicPlanning, ImprovedPlanning time.Duration
 	// Estimated plan execution times.
 	BasicExecution, ImprovedExecution time.Duration
@@ -291,28 +282,33 @@ func Table1(o Options) Table1Result {
 	var res Table1Result
 	for _, pr := range pairs {
 		src, dst := imgZoo.MustGet(pr[0]), imgZoo.MustGet(pr[1])
-		t0 := time.Now()
-		bp := basic.Plan(src, dst)
-		bt := time.Since(t0)
-		t1 := time.Now()
-		ip := improved.Plan(src, dst)
-		it := time.Since(t1)
+		var bp, ip *metaop.Plan
+		took := fastest(func() { bp = basic.Plan(src, dst) }, func() { ip = improved.Plan(src, dst) })
 		res.Cases = append(res.Cases, Table1Case{
 			Src: pr[0], Dst: pr[1],
-			BasicPlanning: bt, ImprovedPlanning: it,
-			BasicExecution:    planExecCost(o.Profile, bp, src, dst),
-			ImprovedExecution: planExecCost(o.Profile, ip, src, dst),
+			BasicPlanning: took[0], ImprovedPlanning: took[1],
+			BasicExecution:    bp.TrueCost(o.Profile, src, dst),
+			ImprovedExecution: ip.TrueCost(o.Profile, src, dst),
 		})
 	}
 	return res
 }
 
-// planExecCost is the true execution time of a plan, honoring the safeguard.
-func planExecCost(p *cost.Profile, plan *metaop.Plan, src, dst *model.Graph) time.Duration {
-	if plan.LoadFromScratch {
-		return p.ModelLoad(dst).Total()
+// fastest runs fns interleaved, five times each in this process, and returns
+// each one's minimum wall time. One sample lets a GC pause or a preemption
+// decide a comparison; the minimum of interleaved samples does not.
+func fastest(fns ...func()) []time.Duration {
+	best := make([]time.Duration, len(fns))
+	for r := 0; r < 5; r++ {
+		for i, fn := range fns {
+			t0 := time.Now()
+			fn()
+			if d := time.Since(t0); r == 0 || d < best[i] {
+				best[i] = d
+			}
+		}
 	}
-	return plan.TrueCost(p, src)
+	return best
 }
 
 // Render prints Table 1.

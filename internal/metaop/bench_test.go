@@ -14,14 +14,13 @@ func benchGraphs() (*model.Graph, *model.Graph, *Plan) {
 	for i := 0; i < 64; i++ {
 		srcOp := mkConv("c", 3, 64, uint64(i)+1)
 		dstOp := mkConv("c", 3, 64, uint64(i)+1000)
-		dstOp.ID = i
 		_ = src.AddOp(srcOp)
 		_ = dst.AddOp(dstOp)
 		if i > 0 {
 			src.Connect(i-1, i)
 			dst.Connect(i-1, i)
 		}
-		p.Steps = append(p.Steps, Step{Kind: KindReplace, SrcID: i, DstID: i, Dst: dstOp})
+		p.Steps = append(p.Steps, Step{Kind: KindReplace, SrcID: int32(i), DstID: int32(i)})
 	}
 	return src, dst, &p
 }
@@ -39,10 +38,10 @@ func BenchmarkApplyReplacePlan(b *testing.B) {
 
 func BenchmarkTrueCost(b *testing.B) {
 	prof := cost.CPU()
-	src, _, plan := benchGraphs()
+	src, dst, plan := benchGraphs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if plan.TrueCost(prof, src) <= 0 {
+		if plan.TrueCost(prof, src, dst) <= 0 {
 			b.Fatal("zero cost")
 		}
 	}

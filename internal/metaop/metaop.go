@@ -76,20 +76,22 @@ func Kinds() []Kind {
 	return []Kind{KindReplace, KindReshape, KindReduce, KindAdd, KindEdge}
 }
 
-// Step is one meta-operator application within a plan.
+// Step is one meta-operator application within a plan: 32 pointer-free
+// bytes that name ops by ID in the plan's source and destination graphs.
 type Step struct {
 	Kind Kind
+	// EdgeAdd marks an Edge step that adds a destination edge; false removes
+	// a source edge.
+	EdgeAdd bool
 	// SrcID is the operation ID in the source graph this step acts on
 	// (Replace, Reshape, Reduce). -1 otherwise.
-	SrcID int
+	SrcID int32
 	// DstID is the operation ID in the destination graph this step realizes
 	// (Replace, Reshape, Add). -1 otherwise.
-	DstID int
-	// Dst is the desired destination operation (Replace, Reshape, Add).
-	Dst model.Operation
-	// EdgeFrom/EdgeTo/EdgeAdd describe an Edge step, in destination IDs.
-	EdgeFrom, EdgeTo int
-	EdgeAdd          bool
+	DstID int32
+	// EdgeFrom/EdgeTo are an Edge step's endpoints: destination IDs for an
+	// addition, source IDs for a removal.
+	EdgeFrom, EdgeTo int32
 	// EstCost is the planner's estimated execution time for this step.
 	EstCost time.Duration
 }
@@ -98,7 +100,6 @@ type Step struct {
 // plus the safeguard decision of §4.4 Module 3.
 type Plan struct {
 	SrcName, DstName string
-	SrcHash, DstHash uint64
 	Steps            []Step
 	// EstCost is the planner's total cost estimate for executing the steps.
 	EstCost time.Duration
@@ -112,18 +113,20 @@ type Plan struct {
 }
 
 // TargetType returns the operation type a step acts on: the destination
-// type for Replace/Reshape/Add, the source op's type for Reduce; ok=false
-// for Edge steps (untyped).
-func (s Step) TargetType(src *model.Graph) (model.OpType, bool) {
+// op's type for Replace/Reshape/Add, the source op's type for Reduce;
+// ok=false for Edge steps (untyped) and for steps naming a missing op.
+func (s *Step) TargetType(src, dst *model.Graph) (model.OpType, bool) {
+	var op *model.Operation
 	switch s.Kind {
 	case KindReplace, KindReshape, KindAdd:
-		return s.Dst.Type, true
+		op = dst.Op(int(s.DstID))
 	case KindReduce:
-		if op := src.Op(s.SrcID); op != nil {
-			return op.Type, true
-		}
+		op = src.Op(int(s.SrcID))
 	}
-	return 0, false
+	if op == nil {
+		return 0, false
+	}
+	return op.Type, true
 }
 
 // CountByKind tallies the plan's steps per meta-operator.
@@ -144,49 +147,57 @@ func (p *Plan) CostByKind() map[Kind]time.Duration {
 	return out
 }
 
-// TrueCost returns the actual execution time of the plan under the given
-// (ground-truth) hardware profile. The simulator charges this, not EstCost.
-func (p *Plan) TrueCost(prof *cost.Profile, src *model.Graph) time.Duration {
+// TrueCost returns the actual execution time of the src→dst plan under the
+// given (ground-truth) hardware profile, honoring the safeguard: a
+// LoadFromScratch plan costs dst's full load, as in Apply. The simulator
+// charges this, not EstCost.
+func (p *Plan) TrueCost(prof *cost.Profile, src, dst *model.Graph) time.Duration {
+	if p.LoadFromScratch {
+		return prof.ModelLoad(dst).Total()
+	}
 	var total time.Duration
-	for _, s := range p.Steps {
-		total += StepTrueCost(prof, src, s)
+	for i := range p.Steps {
+		total += StepCost(prof, src, dst, &p.Steps[i])
 	}
 	return total
 }
 
-// StepTrueCost returns the actual execution time of one step under the
-// ground-truth hardware profile (what the container really pays, as opposed
-// to the planner's estimate in Step.EstCost). Online profiling compares the
-// two to refine estimates (§6).
-func StepTrueCost(prof *cost.Profile, src *model.Graph, s Step) time.Duration {
-	switch s.Kind {
-	case KindReplace:
-		return prof.ReplaceCost(&s.Dst)
-	case KindReshape:
-		srcOp := src.Op(s.SrcID)
-		if srcOp == nil {
-			return prof.ReshapeBase
-		}
-		return prof.ReshapeCost(srcOp, &s.Dst)
-	case KindReduce:
-		srcOp := src.Op(s.SrcID)
-		if srcOp == nil {
-			return prof.ReduceCostPer
-		}
-		return prof.ReduceCost(srcOp)
-	case KindAdd:
-		return prof.AddCost(&s.Dst)
-	case KindEdge:
-		return prof.EdgeCost(1)
-	default:
-		return 0
+// Coster prices the five meta-operators: *cost.Profile with the true
+// (hardware) cost a container pays, *cost.Estimator with the planner's
+// estimate. Online profiling compares the two to refine estimates (§6).
+type Coster interface {
+	ReplaceCost(dst *model.Operation) time.Duration
+	ReshapeCost(src, dst *model.Operation) time.Duration
+	ReduceCost(src *model.Operation) time.Duration
+	AddCost(dst *model.Operation) time.Duration
+	EdgeCost(n int) time.Duration
+}
+
+// StepCost prices one step of a src→dst plan under c. A step naming a
+// missing operation, or of unknown kind, costs nothing; Apply rejects it.
+func StepCost(c Coster, src, dst *model.Graph, s *Step) time.Duration {
+	srcOp, dstOp := src.Op(int(s.SrcID)), dst.Op(int(s.DstID))
+	switch {
+	case s.Kind == KindReplace && dstOp != nil:
+		return c.ReplaceCost(dstOp)
+	case s.Kind == KindReshape && srcOp != nil && dstOp != nil:
+		return c.ReshapeCost(srcOp, dstOp)
+	case s.Kind == KindReduce && srcOp != nil:
+		return c.ReduceCost(srcOp)
+	case s.Kind == KindAdd && dstOp != nil:
+		return c.AddCost(dstOp)
+	case s.Kind == KindEdge:
+		return c.EdgeCost(1)
 	}
+	return 0
 }
 
 // Apply executes the plan against the source graph, returning the rewritten
-// graph and the true execution time under prof. It returns an error if the
-// plan is malformed (e.g. two steps claim the same destination slot, or a
-// step references a missing source op).
+// graph and the true execution time under prof. It rejects a malformed plan:
+// a step names a missing op, maps an op onto one of another type, or
+// Replaces across a shape change without first Reshaping the same pair; two
+// origins (Adds or source ops) realize one destination slot; or a source op
+// is consumed twice.
 //
 // Apply never mutates src.
 func Apply(prof *cost.Profile, p *Plan, src *model.Graph, dst *model.Graph) (*model.Graph, time.Duration, error) {
@@ -194,57 +205,79 @@ func Apply(prof *cost.Profile, p *Plan, src *model.Graph, dst *model.Graph) (*mo
 		// Safeguard: the container discards the old model and loads fresh.
 		return dst.Clone(), prof.ModelLoad(dst).Total(), nil
 	}
-	out := model.NewGraph(dst.Name, dst.Family)
-	slots := make([]*model.Operation, dst.NumOps())
-	consumed := make(map[int]bool)
+	// slotFrom[j] is what realizes destination slot j: 0 nothing yet, i+1
+	// source op i, negative an Add. srcTo[i] is where source op i went: 0
+	// nowhere yet (it may carry over), -1 reduced, j+1 slot j.
+	slotFrom := make([]int32, dst.NumOps())
+	srcTo := make([]int32, src.NumOps())
+	reshaped := make([]bool, dst.NumOps())
+	claim := func(ids []int32, i, v int32) bool {
+		if ids[i] != 0 && ids[i] != v {
+			return false
+		}
+		ids[i] = v
+		return true
+	}
 	type edgeKey struct {
-		from, to int
+		from, to int32
 		add      bool
 	}
 	seenEdges := make(map[edgeKey]bool)
 	var edgeAdds, edgeRemoves int
 	var elapsed time.Duration
 
-	for _, s := range p.Steps {
-		elapsed += StepTrueCost(prof, src, s)
+	for k := range p.Steps {
+		s := &p.Steps[k]
+		elapsed += StepCost(prof, src, dst, s)
+		srcOp, dstOp := src.Op(int(s.SrcID)), dst.Op(int(s.DstID))
 		switch s.Kind {
 		case KindReplace, KindReshape, KindAdd:
-			if s.DstID < 0 || s.DstID >= len(slots) {
+			from := -int32(k) - 1 // an Add is an origin of its own
+			switch {
+			case dstOp == nil:
 				return nil, 0, fmt.Errorf("metaop: step %s has destination ID %d out of range", s.Kind, s.DstID)
+			case s.Kind == KindAdd:
+			case srcOp == nil:
+				return nil, 0, fmt.Errorf("metaop: step %s references missing source op %d", s.Kind, s.SrcID)
+			case srcOp.Type != dstOp.Type:
+				return nil, 0, fmt.Errorf("metaop: step %s maps a %v source op onto a %v destination op", s.Kind, srcOp.Type, dstOp.Type)
+			case !claim(srcTo, s.SrcID, s.DstID+1):
+				return nil, 0, fmt.Errorf("metaop: source op %d is consumed twice", s.SrcID)
+			default:
+				from = s.SrcID + 1
 			}
-			if s.Kind != KindAdd {
-				if src.Op(s.SrcID) == nil {
-					return nil, 0, fmt.Errorf("metaop: step %s references missing source op %d", s.Kind, s.SrcID)
-				}
-				consumed[s.SrcID] = true
-			}
-			op := s.Dst
-			if prev := slots[s.DstID]; prev != nil && *prev != op {
+			if !claim(slotFrom, s.DstID, from) {
 				return nil, 0, fmt.Errorf("metaop: conflicting steps for destination op %d", s.DstID)
 			}
-			slots[s.DstID] = &op
+			if s.Kind == KindReshape {
+				reshaped[s.DstID] = true
+			} else if s.Kind == KindReplace && srcOp.Shape != dstOp.Shape && !reshaped[s.DstID] {
+				return nil, 0, fmt.Errorf("metaop: replace changes source op %d's shape with no reshape before it", s.SrcID)
+			}
 		case KindReduce:
-			if src.Op(s.SrcID) == nil {
+			if srcOp == nil {
 				return nil, 0, fmt.Errorf("metaop: reduce references missing source op %d", s.SrcID)
 			}
-			consumed[s.SrcID] = true
+			if !claim(srcTo, s.SrcID, -1) {
+				return nil, 0, fmt.Errorf("metaop: source op %d is consumed twice", s.SrcID)
+			}
 		case KindEdge:
 			// Edges are applied after all slots are realized; a plan that
 			// charges the same edge diff twice is corrupt.
-			k := edgeKey{s.EdgeFrom, s.EdgeTo, s.EdgeAdd}
-			if seenEdges[k] {
+			ek := edgeKey{s.EdgeFrom, s.EdgeTo, s.EdgeAdd}
+			if seenEdges[ek] {
 				return nil, 0, fmt.Errorf("metaop: duplicate edge step %d→%d (add=%v)", s.EdgeFrom, s.EdgeTo, s.EdgeAdd)
 			}
-			seenEdges[k] = true
+			seenEdges[ek] = true
 			// Additions are phrased in destination IDs, removals in source
 			// IDs; a step referencing wiring neither graph has is corrupt.
 			if s.EdgeAdd {
-				if !dst.HasEdge(s.EdgeFrom, s.EdgeTo) {
+				if !dst.HasEdge(int(s.EdgeFrom), int(s.EdgeTo)) {
 					return nil, 0, fmt.Errorf("metaop: edge step adds %d→%d, which is not a destination edge", s.EdgeFrom, s.EdgeTo)
 				}
 				edgeAdds++
 			} else {
-				if !src.HasEdge(s.EdgeFrom, s.EdgeTo) {
+				if !src.HasEdge(int(s.EdgeFrom), int(s.EdgeTo)) {
 					return nil, 0, fmt.Errorf("metaop: edge step removes %d→%d, which is not a source edge", s.EdgeFrom, s.EdgeTo)
 				}
 				edgeRemoves++
@@ -257,63 +290,50 @@ func Apply(prof *cost.Profile, p *Plan, src *model.Graph, dst *model.Graph) (*mo
 	// Source ops that were neither substituted nor reduced carry over only if
 	// they are already identical to their destination slot: the planner emits
 	// no step exactly when source and destination ops match perfectly on
-	// (Type, Shape, WeightsID). A nil slot with no such unconsumed source op
-	// available is a hole the plan never filled — the container has no
-	// bit-identical state to keep there, so the plan is rejected rather than
-	// silently completed from dst.
+	// (Type, Shape, WeightsID). An unrealized slot with no such unconsumed
+	// source op available is a hole the plan never filled — the container
+	// has no bit-identical state to keep there, so the plan is rejected
+	// rather than silently completed from dst.
 	type opKey struct {
 		typ       model.OpType
 		shape     model.Shape
 		weightsID uint64
 	}
 	avail := make(map[opKey]int)
-	for i := 0; i < src.NumOps(); i++ {
-		if consumed[i] {
-			continue
+	for i, to := range srcTo {
+		if to == 0 {
+			op := src.Op(i)
+			avail[opKey{op.Type, op.Shape, op.WeightsID}]++
 		}
-		op := src.Op(i)
-		avail[opKey{op.Type, op.Shape, op.WeightsID}]++
 	}
-	for j := range slots {
-		if slots[j] != nil {
+	for j, from := range slotFrom {
+		if from != 0 {
 			continue
 		}
-		op := *dst.Op(j)
+		op := dst.Op(j)
 		k := opKey{op.Type, op.Shape, op.WeightsID}
 		if avail[k] <= 0 {
 			return nil, 0, fmt.Errorf("metaop: destination op %d is realized by no step and no identical source op carries over (truncated plan?)", j)
 		}
 		avail[k]--
-		slots[j] = &op
 	}
 	// A truncated edge list breaks the adds−removes balance (see
 	// CheckEdgeBalance).
-	if err := CheckEdgeBalance(edgeAdds, edgeRemoves, len(dst.Edges())-len(src.Edges())); err != nil {
+	if err := CheckEdgeBalance(edgeAdds, edgeRemoves, dst.NumEdges()-src.NumEdges()); err != nil {
 		return nil, 0, err
 	}
-	for _, op := range slots {
-		out.AddOp(*op)
-	}
-	// Edge steps are charged above (removals reference source wiring,
-	// additions destination wiring); the realized graph takes the
-	// destination dataflow, which the plan's Edge steps describe as a diff
-	// against the mapped source edges.
-	for _, e := range dst.Edges() {
-		out.Connect(e.From, e.To)
-	}
-	return out, elapsed, nil
+	// Every slot now holds its destination op and the plan's Edge steps
+	// rewire the mapped source edges into the destination dataflow, so the
+	// realized graph is the destination model.
+	return dst.Clone(), elapsed, nil
 }
 
-// Verify applies the plan and checks the result equals the destination model
-// exactly (structure and weights). It is the executor's post-condition and
-// is exercised heavily in tests.
+// Verify applies the plan and reports whether it reproduces the destination
+// model exactly (structure and weights): Apply realizes every slot from its
+// destination op only after checking the step that claims it, so a plan it
+// accepts yields dst. It is the executor's post-condition and is exercised
+// heavily in tests.
 func Verify(prof *cost.Profile, p *Plan, src, dst *model.Graph) error {
-	got, _, err := Apply(prof, p, src, dst)
-	if err != nil {
-		return err
-	}
-	if !got.Equal(dst) {
-		return fmt.Errorf("metaop: plan %s→%s did not reproduce the destination model", p.SrcName, p.DstName)
-	}
-	return nil
+	_, _, err := Apply(prof, p, src, dst)
+	return err
 }

@@ -1,9 +1,12 @@
 package metaop
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/cost"
 	"repro/internal/model"
@@ -47,7 +50,7 @@ func TestApplyReplaceOnly(t *testing.T) {
 	dst := mkChain("dst", mkConv("c", 3, 8, 2))
 	p := &Plan{
 		SrcName: "src", DstName: "dst",
-		Steps: []Step{{Kind: KindReplace, SrcID: 0, DstID: 0, Dst: *dst.Op(0)}},
+		Steps: []Step{{Kind: KindReplace, SrcID: 0, DstID: 0}},
 	}
 	got, elapsed, err := Apply(prof, p, src, dst)
 	if err != nil {
@@ -89,23 +92,68 @@ func TestApplyRejectsMalformedPlans(t *testing.T) {
 	prof := cost.CPU()
 	src := mkChain("src", mkConv("c", 3, 8, 1))
 	dst := mkChain("dst", mkConv("c", 3, 8, 2))
+	wider := mkChain("wider", mkConv("c", 5, 8, 2))
+	pool := mkChain("pool", model.Operation{Name: "p", Type: model.OpMaxPool, Shape: model.Shape{KernelH: 3, KernelW: 3}})
+	twoSrc := mkChain("two", mkConv("a", 3, 8, 1), mkConv("b", 3, 8, 3))
 
+	// Each case is well formed but for the one rule it breaks, so want (a
+	// fragment of the error) names the check that must reject it.
 	cases := []struct {
-		name string
-		plan *Plan
+		name, want string
+		src, dst   *model.Graph
+		plan       *Plan
 	}{
-		{"dst id out of range", &Plan{Steps: []Step{{Kind: KindReplace, SrcID: 0, DstID: 5, Dst: *dst.Op(0)}}}},
-		{"missing src op", &Plan{Steps: []Step{{Kind: KindReplace, SrcID: 9, DstID: 0, Dst: *dst.Op(0)}}}},
-		{"missing reduce src", &Plan{Steps: []Step{{Kind: KindReduce, SrcID: 9, DstID: -1}}}},
-		{"unknown kind", &Plan{Steps: []Step{{Kind: Kind(77)}}}},
-		{"conflicting slots", &Plan{Steps: []Step{
-			{Kind: KindAdd, SrcID: -1, DstID: 0, Dst: mkConv("x", 3, 8, 7)},
-			{Kind: KindAdd, SrcID: -1, DstID: 0, Dst: mkConv("y", 5, 8, 8)},
+		{"dst id out of range", "out of range", src, dst, &Plan{Steps: []Step{{Kind: KindReplace, SrcID: 0, DstID: 5}}}},
+		{"missing src op", "missing source op", src, dst, &Plan{Steps: []Step{{Kind: KindReplace, SrcID: 9, DstID: 0}}}},
+		{"missing reduce src", "missing source op", src, dst, &Plan{Steps: []Step{{Kind: KindReduce, SrcID: 9, DstID: -1}}}},
+		{"unknown kind", "unknown step kind", src, dst, &Plan{Steps: []Step{{Kind: Kind(77)}}}},
+		{"two adds on one slot", "conflicting steps", src, dst, &Plan{Steps: []Step{
+			{Kind: KindReduce, SrcID: 0, DstID: -1},
+			{Kind: KindAdd, SrcID: -1, DstID: 0},
+			{Kind: KindAdd, SrcID: -1, DstID: 0},
+		}}},
+		{"replace across a shape change with no reshape", "no reshape", src, wider, &Plan{Steps: []Step{
+			{Kind: KindReplace, SrcID: 0, DstID: 0},
+		}}},
+		{"reshape across op types", "onto a", src, pool, &Plan{Steps: []Step{
+			{Kind: KindReshape, SrcID: 0, DstID: 0},
+		}}},
+		{"reshape and replace of one slot from two source ops", "conflicting steps", twoSrc, wider, &Plan{Steps: []Step{
+			{Kind: KindReshape, SrcID: 0, DstID: 0},
+			{Kind: KindReplace, SrcID: 1, DstID: 0},
+			{Kind: KindEdge, SrcID: -1, DstID: -1, EdgeFrom: 0, EdgeTo: 1},
+		}}},
+		{"one source op consumed into two slots", "consumed twice", src, mkChain("pair", mkConv("a", 3, 8, 2), mkConv("b", 3, 8, 4)), &Plan{Steps: []Step{
+			{Kind: KindReplace, SrcID: 0, DstID: 0},
+			{Kind: KindReplace, SrcID: 0, DstID: 1},
+			{Kind: KindEdge, SrcID: -1, DstID: -1, EdgeFrom: 0, EdgeTo: 1, EdgeAdd: true},
 		}}},
 	}
 	for _, c := range cases {
-		if _, _, err := Apply(prof, c.plan, src, dst); err == nil {
+		if _, _, err := Apply(prof, c.plan, c.src, c.dst); err == nil {
 			t.Errorf("%s: Apply accepted malformed plan", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: rejected for the wrong reason: %v", c.name, err)
+		}
+	}
+	// The well-formed counterparts of the shape and slot cases apply.
+	ok := []struct {
+		name     string
+		src, dst *model.Graph
+		plan     *Plan
+	}{
+		{"reshape then replace of one pair", src, wider, &Plan{Steps: []Step{
+			{Kind: KindReshape, SrcID: 0, DstID: 0},
+			{Kind: KindReplace, SrcID: 0, DstID: 0},
+		}}},
+		{"reduce then add", src, dst, &Plan{Steps: []Step{
+			{Kind: KindReduce, SrcID: 0, DstID: -1},
+			{Kind: KindAdd, SrcID: -1, DstID: 0},
+		}}},
+	}
+	for _, c := range ok {
+		if err := Verify(prof, c.plan, c.src, c.dst); err != nil {
+			t.Errorf("%s: %v", c.name, err)
 		}
 	}
 }
@@ -132,8 +180,8 @@ func TestTrueCostSumsSteps(t *testing.T) {
 	src := mkChain("src", mkConv("c1", 3, 8, 1), mkConv("c2", 3, 8, 2))
 	dst := mkChain("dst", mkConv("c1", 5, 8, 3))
 	p := &Plan{Steps: []Step{
-		{Kind: KindReshape, SrcID: 0, DstID: 0, Dst: *dst.Op(0)},
-		{Kind: KindReplace, SrcID: 0, DstID: 0, Dst: *dst.Op(0)},
+		{Kind: KindReshape, SrcID: 0, DstID: 0},
+		{Kind: KindReplace, SrcID: 0, DstID: 0},
 		{Kind: KindReduce, SrcID: 1, DstID: -1},
 		{Kind: KindEdge, EdgeFrom: 0, EdgeTo: 1},
 	}}
@@ -141,7 +189,7 @@ func TestTrueCostSumsSteps(t *testing.T) {
 		prof.ReplaceCost(dst.Op(0)) +
 		prof.ReduceCost(src.Op(1)) +
 		prof.EdgeCost(1)
-	if got := p.TrueCost(prof, src); got != want {
+	if got := p.TrueCost(prof, src, dst); got != want {
 		t.Errorf("TrueCost = %v, want %v", got, want)
 	}
 	gotGraph, elapsed, err := Apply(prof, p, src, dst)
@@ -178,11 +226,58 @@ func TestQuickReplacePlansAlwaysVerify(t *testing.T) {
 		src, dst := mkChain("s", srcOps...), mkChain("d", dstOps...)
 		var steps []Step
 		for j := range dstOps {
-			steps = append(steps, Step{Kind: KindReplace, SrcID: j, DstID: j, Dst: *dst.Op(j)})
+			steps = append(steps, Step{Kind: KindReplace, SrcID: int32(j), DstID: int32(j)})
 		}
 		return Verify(prof, &Plan{Steps: steps}, src, dst) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStepLayout pins the plan representation: a step is at most 32 bytes and
+// holds no pointers, so a cached plan's step array is one flat allocation the
+// GC never scans.
+func TestStepLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Step{}); size > 32 {
+		t.Errorf("metaop.Step is %d bytes, want ≤ 32", size)
+	}
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if hasPointers(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Array:
+			return hasPointers(typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return false
+		}
+		return true // pointer, slice, string, map, interface, chan, func
+	}
+	if hasPointers(reflect.TypeOf(Step{})) {
+		t.Error("metaop.Step holds a pointer; cached plans would be GC-scanned")
+	}
+}
+
+// TestTrueCostNoAllocs pins the transform serve's pricing: Plan.TrueCost
+// reads each step in place and allocates nothing.
+func TestTrueCostNoAllocs(t *testing.T) {
+	prof := cost.CPU()
+	src, dst, plan := benchGraphs()
+	var total time.Duration
+	if avg := testing.AllocsPerRun(100, func() {
+		total += plan.TrueCost(prof, src, dst)
+	}); avg != 0 {
+		t.Errorf("TrueCost allocates %.1f/op, want 0", avg)
+	}
+	if total <= 0 {
+		t.Error("TrueCost priced the plan at zero")
 	}
 }

@@ -92,16 +92,11 @@ func TestVerifyRejectsCorruptedPlans(t *testing.T) {
 			cp.Steps = append(cp.Steps[:substIdx:substIdx], cp.Steps[substIdx+1:]...)
 			return true
 		}},
-		{"swap substitution target to wrong dst op", func(cp *metaop.Plan) bool {
-			s := cp.Steps[substIdx]
-			// Point the step at a different destination op's content: the
-			// realized graph holds the wrong operation in the right slot.
-			other := (s.DstID + 1) % dst.NumOps()
-			if *dst.Op(other) == s.Dst {
-				return false
-			}
-			s.Dst = *dst.Op(other)
-			cp.Steps[substIdx] = s
+		{"retarget substitution to wrong dst slot", func(cp *metaop.Plan) bool {
+			// Point the step at another destination slot: its own slot is
+			// left unrealized and the other slot gains a second origin.
+			s := &cp.Steps[substIdx]
+			s.DstID = (s.DstID + 1) % int32(dst.NumOps())
 			return true
 		}},
 		{"swap two steps' destination slots", func(cp *metaop.Plan) bool {
@@ -114,7 +109,7 @@ func TestVerifyRejectsCorruptedPlans(t *testing.T) {
 			for a := 0; a < len(idx); a++ {
 				for b := a + 1; b < len(idx); b++ {
 					i, j := idx[a], idx[b]
-					if cp.Steps[i].Dst == cp.Steps[j].Dst {
+					if cp.Steps[i].DstID == cp.Steps[j].DstID {
 						continue
 					}
 					cp.Steps[i].DstID, cp.Steps[j].DstID = cp.Steps[j].DstID, cp.Steps[i].DstID
@@ -139,7 +134,7 @@ func TestVerifyRejectsCorruptedPlans(t *testing.T) {
 		}},
 		{"retarget substitution to missing source op", func(cp *metaop.Plan) bool {
 			s := cp.Steps[substIdx]
-			s.SrcID = src.NumOps() + 100
+			s.SrcID = int32(src.NumOps()) + 100
 			cp.Steps[substIdx] = s
 			return true
 		}},
@@ -171,7 +166,7 @@ func TestApplyRejectsTruncatedCarryOver(t *testing.T) {
 	dst := chain("dst", conv("a", 3, 8, 1), conv("b", 3, 8, 9))
 
 	full := &metaop.Plan{Steps: []metaop.Step{
-		{Kind: metaop.KindReplace, SrcID: 1, DstID: 1, Dst: *dst.Op(1)},
+		{Kind: metaop.KindReplace, SrcID: 1, DstID: 1},
 	}}
 	if err := metaop.Verify(prof, full, src, dst); err != nil {
 		t.Fatalf("valid single-replace plan rejected: %v", err)
@@ -192,7 +187,7 @@ func TestApplyRejectsTruncatedCarryOver(t *testing.T) {
 	src2 := chain("src2", conv("a", 3, 8, 1), conv("b", 3, 8, 5))
 	dst2 := chain("dst2", conv("a", 3, 8, 1), conv("a", 3, 8, 1))
 	consuming := &metaop.Plan{Steps: []metaop.Step{
-		{Kind: metaop.KindReplace, SrcID: 0, DstID: 0, Dst: *dst2.Op(0)},
+		{Kind: metaop.KindReplace, SrcID: 0, DstID: 0},
 	}}
 	if _, _, err := metaop.Apply(prof, consuming, src2, dst2); err == nil {
 		t.Fatal("consumed source op was reused as carry-over")
@@ -205,7 +200,7 @@ func TestApplyRejectsTruncatedCarryOver(t *testing.T) {
 	src3 := chain("src3", conv("a", 3, 8, 1), conv("b", 3, 8, 1))
 	dst3 := chain("dst3", conv("a", 3, 8, 1), conv("b", 3, 8, 1))
 	partial := &metaop.Plan{Steps: []metaop.Step{
-		{Kind: metaop.KindReplace, SrcID: 0, DstID: 0, Dst: *dst3.Op(0)},
+		{Kind: metaop.KindReplace, SrcID: 0, DstID: 0},
 	}}
 	if err := metaop.Verify(prof, partial, src3, dst3); err != nil {
 		t.Fatalf("legitimate carry-over rejected: %v", err)

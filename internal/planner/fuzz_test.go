@@ -50,7 +50,8 @@ func FuzzPlanApply(f *testing.F) {
 
 		// Corrupt one step of a deep-copied plan: Apply must reject malformed
 		// plans with an error (or tolerate semantically harmless edits) but
-		// must never panic, and must still leave src untouched.
+		// must never panic, never accept a plan that realizes a wrong graph,
+		// and must still leave src untouched.
 		if len(p.Steps) == 0 {
 			return
 		}
@@ -58,19 +59,26 @@ func FuzzPlanApply(f *testing.F) {
 		cp.Steps = append([]metaop.Step(nil), p.Steps...)
 		i := int(mut) % len(cp.Steps)
 		s := &cp.Steps[i]
-		switch mut % 5 {
+		switch mut % 6 {
 		case 0:
-			s.DstID = int(mut) // likely out of range
+			s.DstID = int32(mut) // likely out of range
 		case 1:
-			s.SrcID = -2 - int(mut%7) // dangling source reference
+			s.SrcID = -2 - int32(mut%7) // dangling source reference
 		case 2:
 			s.Kind = metaop.Kind(250) // unknown kind
 		case 3:
 			cp.Steps = append(cp.Steps, cp.Steps[i]) // duplicated step
 		case 4:
-			s.EdgeFrom, s.EdgeTo = int(mut%31), int(mut%17) // bogus wiring
+			s.EdgeFrom, s.EdgeTo = int32(mut%31), int32(mut%17) // bogus wiring
+		case 5:
+			if n := int32(dst.NumOps()); s.DstID >= 0 && n > 1 {
+				s.DstID = (s.DstID + 1 + int32(mut/6)%(n-1)) % n // another in-range slot
+			}
 		}
-		_, _, _ = metaop.Apply(prof, &cp, src, dst)
+		got, _, err = metaop.Apply(prof, &cp, src, dst)
+		if err == nil && !got.Equal(dst) {
+			t.Fatal("Apply accepted a corrupted plan that realizes a wrong graph")
+		}
 		if !src.Equal(srcBefore) {
 			t.Fatal("Apply of a corrupted plan mutated the source graph")
 		}

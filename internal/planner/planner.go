@@ -2,7 +2,6 @@ package planner
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/metaop"
@@ -83,73 +82,80 @@ func (p *Planner) mapping(src, dst *model.Graph) Mapping {
 // BuildPlan converts an operation mapping into an executable meta-operator
 // plan: substitutions become Replace/Reshape steps, deletions Reduce steps,
 // insertions Add steps, and the edge difference under the mapping becomes
-// Edge steps.
+// Edge steps. A counting pass sizes the step slice exactly, so a cached plan
+// holds no slack.
 func BuildPlan(est *cost.Estimator, src, dst *model.Graph, mp Mapping) *metaop.Plan {
-	plan := &metaop.Plan{
-		SrcName: src.Name, DstName: dst.Name,
-		SrcHash: src.StructureHash(), DstHash: dst.StructureHash(),
+	// Edge difference under the mapping: source edges whose mapped image is
+	// not a destination edge are removed; destination edges whose endpoints'
+	// inverse images are not a source edge are added. A kept edge is neither,
+	// so it cancels from both counts.
+	srcEdges, dstEdges := src.Edges(), dst.Edges()
+	kept := func(e model.Edge) bool {
+		mf, mt := mp.SrcToDst[e.From], mp.SrcToDst[e.To]
+		return mf >= 0 && mt >= 0 && dst.HasEdge(mf, mt)
 	}
-	var total time.Duration
-	add := func(s metaop.Step) {
-		plan.Steps = append(plan.Steps, s)
-		total += s.EstCost
+	dstToSrc := make([]int, dst.NumOps()) // 1 + the source op mapped onto each destination op; 0 for none
+	n := len(mp.Added) + len(srcEdges) + len(dstEdges)
+	for i, j := range mp.SrcToDst {
+		if j < 0 {
+			n++
+		} else {
+			dstToSrc[j] = i + 1
+			n += len(substitution(src.Op(i), dst.Op(j)))
+		}
+	}
+	for _, e := range srcEdges {
+		if kept(e) {
+			n -= 2
+		}
 	}
 
+	plan := &metaop.Plan{SrcName: src.Name, DstName: dst.Name, Steps: make([]metaop.Step, 0, n)}
+	add := func(s metaop.Step) {
+		s.EstCost = metaop.StepCost(est, src, dst, &s)
+		plan.Steps = append(plan.Steps, s)
+		plan.EstCost += s.EstCost
+	}
 	for i, j := range mp.SrcToDst {
-		srcOp := src.Op(i)
 		if j < 0 {
-			add(metaop.Step{Kind: metaop.KindReduce, SrcID: i, DstID: -1, EstCost: est.ReduceCost(srcOp)})
+			add(metaop.Step{Kind: metaop.KindReduce, SrcID: int32(i), DstID: -1})
 			continue
 		}
-		dstOp := dst.Op(j)
-		switch {
-		case srcOp.Shape == dstOp.Shape && srcOp.WeightsID == dstOp.WeightsID:
-			// Perfect match: zero cost, no step.
-		case srcOp.Shape == dstOp.Shape:
-			add(metaop.Step{Kind: metaop.KindReplace, SrcID: i, DstID: j, Dst: withID(dstOp, j),
-				EstCost: est.ReplaceCost(dstOp)})
-		default:
-			add(metaop.Step{Kind: metaop.KindReshape, SrcID: i, DstID: j, Dst: withID(dstOp, j),
-				EstCost: est.ReshapeCost(srcOp, dstOp)})
-			if dstOp.HasWeights() {
-				add(metaop.Step{Kind: metaop.KindReplace, SrcID: i, DstID: j, Dst: withID(dstOp, j),
-					EstCost: est.ReplaceCost(dstOp)})
-			}
+		for _, k := range substitution(src.Op(i), dst.Op(j)) {
+			add(metaop.Step{Kind: k, SrcID: int32(i), DstID: int32(j)})
 		}
 	}
 	for _, j := range mp.Added {
-		add(metaop.Step{Kind: metaop.KindAdd, SrcID: -1, DstID: j, Dst: withID(dst.Op(j), j),
-			EstCost: est.AddCost(dst.Op(j))})
+		add(metaop.Step{Kind: metaop.KindAdd, SrcID: -1, DstID: int32(j)})
 	}
-
-	// Edge difference under the mapping: source edges whose mapped image is
-	// not a destination edge are removed; destination edges not covered by a
-	// mapped source edge are added.
-	kept := make(map[model.Edge]bool)
-	for _, e := range src.Edges() {
-		mf, mt := mp.SrcToDst[e.From], mp.SrcToDst[e.To]
-		if mf >= 0 && mt >= 0 && dst.HasEdge(mf, mt) {
-			kept[model.Edge{From: mf, To: mt}] = true
-			continue
-		}
-		add(metaop.Step{Kind: metaop.KindEdge, SrcID: -1, DstID: -1,
-			EdgeFrom: e.From, EdgeTo: e.To, EdgeAdd: false, EstCost: est.EdgeCost(1)})
-	}
-	for _, e := range dst.Edges() {
-		if !kept[e] {
-			add(metaop.Step{Kind: metaop.KindEdge, SrcID: -1, DstID: -1,
-				EdgeFrom: e.From, EdgeTo: e.To, EdgeAdd: true, EstCost: est.EdgeCost(1)})
+	for _, e := range srcEdges {
+		if !kept(e) {
+			add(metaop.Step{Kind: metaop.KindEdge, SrcID: -1, DstID: -1, EdgeFrom: int32(e.From), EdgeTo: int32(e.To)})
 		}
 	}
-
-	plan.EstCost = total
+	for _, e := range dstEdges {
+		if sf, st := dstToSrc[e.From]-1, dstToSrc[e.To]-1; sf < 0 || st < 0 || !src.HasEdge(sf, st) {
+			add(metaop.Step{Kind: metaop.KindEdge, SrcID: -1, DstID: -1, EdgeFrom: int32(e.From), EdgeTo: int32(e.To), EdgeAdd: true})
+		}
+	}
 	return plan
 }
 
-// withID returns a copy of op with its ID set to the destination slot, so
-// executed steps materialize ops with correct destination identifiers.
-func withID(op *model.Operation, id int) model.Operation {
-	cp := *op
-	cp.ID = id
-	return cp
+// reshapeReplace backs substitution's answers, so they allocate nothing.
+var reshapeReplace = []metaop.Kind{metaop.KindReshape, metaop.KindReplace}
+
+// substitution returns the steps that turn a mapped source op into its
+// destination op: a Reshape when the shapes differ, then a Replace when the
+// destination weights must be written. A perfect match (same shape and
+// weights) needs neither and costs nothing.
+func substitution(srcOp, dstOp *model.Operation) []metaop.Kind {
+	switch {
+	case srcOp.Shape != dstOp.Shape && dstOp.HasWeights():
+		return reshapeReplace
+	case srcOp.Shape != dstOp.Shape:
+		return reshapeReplace[:1]
+	case srcOp.WeightsID != dstOp.WeightsID:
+		return reshapeReplace[1:]
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package planner
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cost"
@@ -357,6 +358,9 @@ func TestCache(t *testing.T) {
 	if p1 != p2 {
 		t.Fatal("cache did not return the stored plan")
 	}
+	if len(p1.Steps) != cap(p1.Steps) {
+		t.Errorf("cached plan holds %d steps in a %d-step array; BuildPlan must size it exactly", len(p1.Steps), cap(p1.Steps))
+	}
 	if c.Len() != 1 {
 		t.Fatalf("cache Len = %d", c.Len())
 	}
@@ -368,6 +372,31 @@ func TestCache(t *testing.T) {
 	dst2 := img.MustGet("resnet34-cifar10")
 	if _, ok := c.Get(src, dst2); ok {
 		t.Fatal("cache confused different-weights destinations")
+	}
+}
+
+// TestPlanAllocCeiling pins Planner.Plan's allocation profile on a
+// same-family pair. Measured with go1.24: 462 allocs and 114,620 B per plan
+// (136-byte steps with an embedded op and an appended step slice took 489
+// and 279,984). Most of what remains is matchGroup's per-group maps.
+func TestPlanAllocCeiling(t *testing.T) {
+	img := zoo.Imgclsmob()
+	src, dst := img.MustGet("resnet50-imagenet"), img.MustGet("resnet101-imagenet")
+	pl := New(exact(), AlgoGroup)
+	const runs = 20
+	var before, after runtime.MemStats
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pl.Plan(src, dst)
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		pl.Plan(src, dst)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("Plan(resnet50→resnet101): %d allocs, %d B", allocs, bytes)
+	if allocs > 480 || bytes > 128<<10 {
+		t.Errorf("Plan(resnet50→resnet101) takes %d allocs and %d B, want ≤ 480 and ≤ %d", allocs, bytes, 128<<10)
 	}
 }
 
@@ -409,7 +438,7 @@ func TestRNNTransforms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range p2.Steps {
-		if s.Kind == metaop.KindReshape && s.Dst.Type == model.OpGRU {
+		if s.Kind == metaop.KindReshape && gru.Op(int(s.DstID)).Type == model.OpGRU {
 			t.Fatal("reshaped an LSTM into a GRU")
 		}
 	}

@@ -164,13 +164,9 @@ func (Optimus) Serve(env *simulate.Env, n *simulate.Node, fn *simulate.Function,
 	}
 	if idle := n.RepurposeCandidates(env, fn, now); len(idle) > 0 {
 		best, plan := pickSource(env, idle, fn)
-		load := plan.TrueCost(env.Profile, best.Fn.Model)
-		if plan.LoadFromScratch {
-			load = env.Profile.ModelLoad(fn.Model).Total()
-		}
 		return simulate.Decision{
 			Kind:  metrics.StartTransform,
-			Load:  load,
+			Load:  plan.TrueCost(env.Profile, best.Fn.Model, fn.Model),
 			Reuse: best,
 			Plan:  plan,
 		}, true

@@ -1118,7 +1118,7 @@ func (s *Simulator) decide(node *Node, fr *fnRuntime, at time.Duration) (d Decis
 		s.TransformsVerified++
 	}
 	if s.cfg.OnlineProfiling > 0 && d.Plan != nil && d.Reuse != nil && !d.Plan.LoadFromScratch {
-		s.observeExecution(d.Plan, d.Reuse.Fn.Model)
+		s.observeExecution(d.Plan, d.Reuse.Fn.Model, fn.Model)
 	}
 	d = s.superviseDecision(d, fn, node, at)
 
@@ -1212,35 +1212,14 @@ func (s *Simulator) drainQueue(node *Node) {
 // pair back into the estimator — the §6 online-profiling loop. The estimate
 // is recomputed from the estimator's *current* state: cached plans carry
 // stale step estimates, and learning against those would never converge.
-func (s *Simulator) observeExecution(plan *metaop.Plan, src *model.Graph) {
-	for _, st := range plan.Steps {
-		typ, ok := st.TargetType(src)
+func (s *Simulator) observeExecution(plan *metaop.Plan, src, dst *model.Graph) {
+	for i := range plan.Steps {
+		st := &plan.Steps[i]
+		typ, ok := st.TargetType(src, dst)
 		if !ok {
 			continue
 		}
-		var predicted time.Duration
-		switch st.Kind {
-		case metaop.KindReplace:
-			predicted = s.est.ReplaceCost(&st.Dst)
-		case metaop.KindReshape:
-			srcOp := src.Op(st.SrcID)
-			if srcOp == nil {
-				continue
-			}
-			predicted = s.est.ReshapeCost(srcOp, &st.Dst)
-		case metaop.KindReduce:
-			srcOp := src.Op(st.SrcID)
-			if srcOp == nil {
-				continue
-			}
-			predicted = s.est.ReduceCost(srcOp)
-		case metaop.KindAdd:
-			predicted = s.est.AddCost(&st.Dst)
-		default:
-			continue
-		}
-		actual := metaop.StepTrueCost(s.env.Profile, src, st)
-		s.est.Observe(typ, predicted, actual)
+		s.est.Observe(typ, metaop.StepCost(s.est, src, dst, st), metaop.StepCost(s.env.Profile, src, dst, st))
 	}
 }
 

@@ -152,7 +152,7 @@ func TestHangWithAndWithoutWatchdog(t *testing.T) {
 	planned := func(o *simulate.Online) time.Duration {
 		env := o.Env()
 		plan := env.Plans.GetOrPlan(env.Planner, fns[0].Model, fns[1].Model)
-		return plan.TrueCost(prof, fns[0].Model)
+		return plan.TrueCost(prof, fns[0].Model, fns[1].Model)
 	}
 
 	base := simulate.Config{Faults: faults.Rates{Hang: 1}}

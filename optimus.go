@@ -157,18 +157,10 @@ func (t *Transformer) Precompute(models []*Model, workers int) {
 
 // Transform executes the plan for src→dst through the meta-operator engine,
 // returning the rewritten model and its (simulated) execution time. The
-// result is verified to be identical to dst; a verification failure is a
-// bug and returns an error.
+// engine rejects, with an error, any plan that would not reproduce dst; that
+// is a bug.
 func (t *Transformer) Transform(src, dst *Model) (*Model, time.Duration, error) {
-	plan := t.Plan(src, dst)
-	got, took, err := metaop.Apply(t.prof, plan, src, dst)
-	if err != nil {
-		return nil, 0, err
-	}
-	if !got.Equal(dst) {
-		return nil, 0, fmt.Errorf("optimus: transformation %s→%s did not reproduce the destination model", src.Name, dst.Name)
-	}
-	return got, took, nil
+	return metaop.Apply(t.prof, t.Plan(src, dst), src, dst)
 }
 
 // LoadCost returns the latency of loading m from scratch in a warm container.
