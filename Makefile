@@ -59,11 +59,13 @@ benchguard:
 	$(GO) test -run '^TestParallelPrecomputeMatchesSerial$$' -bench 'BenchmarkPrecompute' -benchtime=1x ./internal/planner
 
 # fuzz runs a short native-fuzzing smoke over the plan executor (corrupted
-# and truncated plans), the lint-directive parser, the call-graph builder,
+# and truncated plans), the group matcher against its map-based oracle, the
+# lint-directive parser, the call-graph builder,
 # the Azure-trace CSV reader, and the trace CSV reader.
 fuzz:
 	$(GO) test -fuzz='^FuzzPlanApply$$' -fuzztime=10s -run '^$$' ./internal/planner
 	$(GO) test -fuzz='^FuzzPlanTruncated$$' -fuzztime=10s -run '^$$' ./internal/planner
+	$(GO) test -fuzz='^FuzzGroupMatchesOracle$$' -fuzztime=10s -run '^$$' ./internal/planner
 	$(GO) test -fuzz='^FuzzDirectiveParse$$' -fuzztime=10s -run '^$$' ./internal/analysis
 	$(GO) test -fuzz='^FuzzCallGraph$$' -fuzztime=10s -run '^$$' ./internal/analysis
 	$(GO) test -fuzz='^FuzzAzureCSV$$' -fuzztime=10s -run '^$$' ./internal/workload

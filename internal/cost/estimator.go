@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -18,8 +19,10 @@ import (
 type Estimator struct {
 	p *Profile
 
-	mu    sync.RWMutex
-	noise map[model.OpType]float64 // multiplicative factor per op type
+	mu sync.RWMutex
+	// noise is the multiplicative factor per op type; 0 means the type is
+	// not profiled and its costs pass through unscaled.
+	noise [256]float64
 	// alpha is the EWMA learning rate of online profiling (§6): zero
 	// disables learning, making the estimator static.
 	alpha float64
@@ -31,7 +34,7 @@ type Estimator struct {
 // measurement error (e.g. 0.1 for ±10 %); zero yields exact estimates.
 // The noise per op type is drawn deterministically from seed.
 func NewEstimator(p *Profile, relErr float64, seed int64) *Estimator {
-	e := &Estimator{p: p, noise: make(map[model.OpType]float64)}
+	e := &Estimator{p: p}
 	rng := rand.New(rand.NewSource(seed))
 	for _, t := range model.AllOpTypes() {
 		f := 1.0
@@ -51,9 +54,9 @@ func (e *Estimator) Profile() *Profile { return e.p }
 
 func (e *Estimator) scale(t model.OpType, d time.Duration) time.Duration {
 	e.mu.RLock()
-	f, ok := e.noise[t]
+	f := e.noise[t]
 	e.mu.RUnlock()
-	if !ok {
+	if f == 0 {
 		return d
 	}
 	return time.Duration(float64(d) * f)
@@ -82,8 +85,8 @@ func (e *Estimator) Observe(t model.OpType, predicted, actual time.Duration) {
 	if e.alpha <= 0 {
 		return
 	}
-	f, ok := e.noise[t]
-	if !ok {
+	f := e.noise[t]
+	if f == 0 {
 		f = 1
 	}
 	ratio := float64(actual) / float64(predicted)
@@ -99,22 +102,24 @@ func (e *Estimator) Observations() int {
 }
 
 // Miscalibration returns the mean absolute relative error of the estimator's
-// per-op-type factors versus the true profile (0 = perfectly calibrated).
+// per-op-type factors versus the true profile (0 = perfectly calibrated),
+// summed over the profiled types in type order.
 func (e *Estimator) Miscalibration() float64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if len(e.noise) == 0 {
+	var sum float64
+	n := 0
+	for _, f := range e.noise {
+		if f == 0 {
+			continue
+		}
+		sum += math.Abs(f - 1)
+		n++
+	}
+	if n == 0 {
 		return 0
 	}
-	var sum float64
-	for _, f := range e.noise {
-		d := f - 1
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum / float64(len(e.noise))
+	return sum / float64(n)
 }
 
 // SubstituteCost estimates transforming src into dst via Reshape/Replace.

@@ -52,8 +52,9 @@ type Profile struct {
 	DeserializePerByte float64 // ns per serialized byte
 
 	// StructBase holds the per-operation-type base cost of instantiating the
-	// operation in the computational graph.
-	StructBase map[model.OpType]time.Duration
+	// operation in the computational graph, indexed by type. It is a value
+	// array, so a copied Profile owns its table.
+	StructBase [256]time.Duration
 	// StructPerWeight is the tensor-allocation cost per weight scalar that
 	// makes big convolutions slower to instantiate than small ones.
 	StructPerWeight float64 // ns per weight
@@ -108,7 +109,7 @@ func CPU() *Profile {
 		ContainerCreate:    80 * time.Millisecond,
 		DeserializeBase:    2 * time.Millisecond,
 		DeserializePerByte: 0.01,
-		StructBase: map[model.OpType]time.Duration{
+		StructBase: [256]time.Duration{
 			model.OpInput:           200 * time.Microsecond,
 			model.OpOutput:          200 * time.Microsecond,
 			model.OpConv2D:          8 * time.Millisecond,

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -336,5 +337,29 @@ func TestOnlineProfilingConverges(t *testing.T) {
 	e.Observe(model.OpConv2D, 0, time.Second)
 	if e.Observations() != before {
 		t.Error("zero prediction should be ignored")
+	}
+}
+
+// TestMiscalibrationDeterministic pins Miscalibration to a sum in op-type
+// order: repeated calls and same-seed estimators agree to the bit, and the
+// value equals the in-order mean of the factors NewEstimator draws.
+func TestMiscalibrationDeterministic(t *testing.T) {
+	const relErr, seed = 0.3, 11
+	a, b := NewEstimator(CPU(), relErr, seed), NewEstimator(CPU(), relErr, seed)
+	first := a.Miscalibration()
+	for _, got := range []float64{a.Miscalibration(), b.Miscalibration()} {
+		if math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("Miscalibration %v != %v", got, first)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var sum float64
+	types := model.AllOpTypes()
+	for range types {
+		f := 1 + relErr*(2*rng.Float64()-1)
+		sum += math.Abs(f - 1)
+	}
+	if want := sum / float64(len(types)); math.Float64bits(first) != math.Float64bits(want) {
+		t.Errorf("Miscalibration = %v, want the type-order mean %v", first, want)
 	}
 }

@@ -1,8 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is a directed acyclic computational graph: operations connected by
@@ -107,16 +108,12 @@ type Edge struct{ From, To int }
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.nedge)
 	for from, ss := range g.succ {
+		start := len(out)
 		for _, to := range ss {
 			out = append(out, Edge{from, to})
 		}
+		slices.SortFunc(out[start:], func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
 	return out
 }
 
@@ -166,8 +163,9 @@ func (g *Graph) Validate() error {
 }
 
 // TopoSort returns the operation IDs in a deterministic topological order
-// (Kahn's algorithm with smallest-ID-first tie-breaking). It returns an error
-// if the graph contains a cycle.
+// (Kahn's algorithm with smallest-ID-first tie-breaking, the ready set kept
+// in a binary min-heap: O((n+m) log n)). It returns an error if the graph
+// contains a cycle.
 func (g *Graph) TopoSort() ([]int, error) {
 	n := len(g.ops)
 	indeg := make([]int, n)
@@ -176,23 +174,27 @@ func (g *Graph) TopoSort() ([]int, error) {
 			indeg[to]++
 		}
 	}
-	// Min-heap behaviour via sorted frontier; n is small (≤ a few hundred).
-	frontier := make([]int, 0, n)
+	// IDs are pushed in increasing order, so the initial ready set is
+	// already a valid min-heap.
+	ready := make([]int, 0, n)
 	for id := 0; id < n; id++ {
 		if indeg[id] == 0 {
-			frontier = append(frontier, id)
+			ready = append(ready, id)
 		}
 	}
 	order := make([]int, 0, n)
-	for len(frontier) > 0 {
-		sort.Ints(frontier)
-		id := frontier[0]
-		frontier = frontier[1:]
+	for len(ready) > 0 {
+		id := ready[0]
+		last := len(ready) - 1
+		ready[0] = ready[last]
+		ready = ready[:last]
+		siftDown(ready)
 		order = append(order, id)
 		for _, to := range g.succ[id] {
 			indeg[to]--
 			if indeg[to] == 0 {
-				frontier = append(frontier, to)
+				ready = append(ready, to)
+				siftUp(ready)
 			}
 		}
 	}
@@ -200,6 +202,35 @@ func (g *Graph) TopoSort() ([]int, error) {
 		return nil, fmt.Errorf("model: graph %q contains a cycle", g.Name)
 	}
 	return order, nil
+}
+
+// siftUp restores the min-heap property of h after an append.
+func siftUp(h []int) {
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+// siftDown restores the min-heap property of h after its root was replaced.
+func siftDown(h []int) {
+	for i := 0; ; {
+		small := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && h[c] < h[small] {
+				small = c
+			}
+		}
+		if small == i {
+			return
+		}
+		h[small], h[i] = h[i], h[small]
+		i = small
+	}
 }
 
 // StructuralEqual reports whether g and other have identical structure:

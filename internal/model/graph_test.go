@@ -2,6 +2,7 @@ package model
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -93,6 +94,17 @@ func TestConnectDisconnect(t *testing.T) {
 	g.Disconnect(0, 2) // no-op
 	if g.NumEdges() != n-1 {
 		t.Fatal("double Disconnect changed edge count")
+	}
+
+	// Edges are sorted by (From, To) whatever order Connect saw them in.
+	g.Connect(0, 4)
+	g.Connect(2, 4)
+	g.Connect(0, 3)
+	g.Connect(1, 4)
+	g.Connect(0, 2)
+	want := []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 4}, {2, 3}, {2, 4}, {3, 4}}
+	if got := g.Edges(); !slices.Equal(got, want) {
+		t.Errorf("Edges = %v, want %v", got, want)
 	}
 }
 
